@@ -3,17 +3,30 @@
 Genuine G-sets are decomposed orbit by orbit; each orbit contributes its
 point stabilizer's conjugacy class to a lazily grown registry. Two genuine
 G-sets are isomorphic iff their coefficient vectors agree, so inequalities
-b >= b' are coefficientwise. Products are decomposed directly (orbit
-enumeration on tuples), never through a table of marks.
+b >= b' are coefficientwise.
+
+Products of FY bases are decomposed without listing them, never through a
+table of marks. A group element fixes an FY monomial iff it fixes each of
+its flats, so stabilizers are ANDs of per-flat bitsets over the group's
+elements. For an orbit G.a of the first factor with H = stab(a), the orbits
+of G on G.a x Y match the H-orbits on Y, and an H-orbit with point
+stabilizer K has |H|/|K| points; so summing |K| over Y, class by class, and
+dividing by |H| counts the orbits (the Mackey double-coset formula). The
+generic `decompose` lists the orbits of an arbitrary G-set; it is the
+independent oracle the tests check this engine against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import factorial, prod
 
 from .chow import ChowRing
+from .matroid import members
 from .perm import (NotFullSymmetricGroup, PermGroup, are_conjugate_subgroups,
-                   compose, inverse, is_young_subgroup, subgroup_invariant)
+                   compose, inverse, is_young_subgroup, orbit,
+                   subgroup_invariant)
 
 
 class BurnsideError(Exception):
@@ -41,17 +54,6 @@ class GSet:
 
     def __len__(self):
         return len(self.elements)
-
-    def spot_check(self):
-        ident = tuple(range(self.group.n))
-        for x in self.elements[:8]:
-            if self.act(ident, x) != x:
-                raise InvalidAction("identity moves a point")
-        for g in self.group.gens:
-            for h in self.group.gens:
-                for x in self.elements[:4]:
-                    if self.act(compose(g, h), x) != self.act(g, self.act(h, x)):
-                        raise InvalidAction("action is not multiplicative")
 
 
 def product(x: GSet, y: GSet) -> GSet:
@@ -216,7 +218,23 @@ def marks_consistent(x: GSet, belt: BurnsideElement) -> bool:
     return True
 
 
-# -- FY-monomial G-sets and Burnside positivity checks ----------------------
+# -- FY-product decomposition and Burnside positivity checks ----------------
+
+def _point_bitsets(group: PermGroup):
+    """moves[e][c]: bitset over group.elements of the g with g(e) = c."""
+    size = group.order
+    out = []
+    for e in range(group.n):
+        rows = [bytearray(b"0" * size) for _ in range(group.n)]
+        for i, g in enumerate(group.elements):
+            rows[g[e]][size - 1 - i] = 49  # ord("1")
+        out.append([int(row, 2) for row in rows])
+    return out
+
+
+def _bit_indices(bits: int):
+    return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
+
 
 class BurnsideContext:
     """Per-(matroid, group) workspace caching FY product decompositions."""
@@ -225,60 +243,163 @@ class BurnsideContext:
         self.ring = ring
         self.group = group
         self.registry = SubgroupRegistry(group)
-        self._fy_sets: dict = {}
         self._products: dict = {}
+        self._moves = None
+        self._var_stabs = None
+        self._stabs: dict = {}  # degree -> stabilizer bitset per FY monomial
+        self._classes: dict = {}  # stabilizer bitset -> (class index, order)
+        self._young: dict = {}  # Young partition -> class index (G = S_n)
+        self._conj_maps = None
         for g in group.gens:
             ring.var_perm(g)  # fails fast if not automorphisms
 
-    def fy_gset(self, k: int) -> GSet:
-        got = self._fy_sets.get(k)
+    def _basis(self, k: int):
+        return self.ring.fy_basis(k) if k <= self.ring.r else ()
+
+    def _monomial_stabs(self, k: int) -> list[int]:
+        got = self._stabs.get(k)
         if got is None:
-            ring = self.ring
-            elements = ring.fy_basis(k) if k <= ring.r else ()
-            got = GSet(self.group, tuple(elements),
-                       lambda g, m: ring.act(g, m))
-            self._fy_sets[k] = got
+            if self._var_stabs is None:
+                self._moves = _point_bitsets(self.group)
+                self._var_stabs = [self._flat_stab(f) for f in self.ring.vars]
+            whole = (1 << self.group.order) - 1
+            vs = self._var_stabs
+            got = []
+            for mono in self._basis(k):
+                bits = whole
+                for vi, _ in mono:
+                    bits &= vs[vi]
+                got.append(bits)
+            self._stabs[k] = got
         return got
 
-    def fy_tuple_gset(self, degrees) -> GSet:
-        ring = self.ring
-        pools = [self.fy_gset(k).elements for k in degrees]
-        elements = [()]
-        for pool in pools:
-            elements = [e + (m,) for e in elements for m in pool]
+    def _flat_stab(self, flat: int) -> int:
+        """Bitset of the g with g(F) = F: each e in F goes into F."""
+        bits = (1 << self.group.order) - 1
+        inside = members(flat)
+        for e in inside:
+            into = 0
+            for c in inside:
+                into |= self._moves[e][c]
+            bits &= into
+        return bits
 
-        def act(g, tup):
-            return tuple(ring.act(g, m) for m in tup)
+    def _first_orbits(self, k: int) -> list[int]:
+        """Stabilizer bitset of the first monomial, in basis order, of each
+        G-orbit on FY^k."""
+        seen = set()
+        out = []
+        for mono, h in zip(self._basis(k), self._monomial_stabs(k)):
+            if mono in seen:
+                continue
+            found = orbit(self.group, mono, self.ring.act)
+            seen |= found
+            if h.bit_count() * len(found) != self.group.order:
+                raise InvalidAction("orbit-stabilizer mismatch: not a group action")
+            out.append(h)
+        return out
 
-        return GSet(self.group, tuple(elements), act)
+    def _classify(self, bits: int):
+        """(class index, order) of the subgroup with this element bitset."""
+        got = self._classes.get(bits)
+        if got is None:
+            group, moves = self.group, self._moves
+            order = bits.bit_count()
+            lam = None
+            if group.is_full_symmetric():
+                # the stabilizer of a family of subsets is the Young subgroup
+                # of its atoms, and S_lambda's class is fixed by lambda
+                blocks = {sum(1 << c for c in range(group.n) if bits & moves[e][c])
+                          for e in range(group.n)}
+                lam = tuple(sorted((b.bit_count() for b in blocks), reverse=True))
+                if prod(factorial(b) for b in lam) != order:
+                    lam = None
+            idx = self._young.get(lam)
+            if idx is None:
+                els = group.elements
+                idx = self.registry.classify(
+                    frozenset(els[i] for i in _bit_indices(bits)))
+            got = (idx, order)
+            if lam is not None:
+                self._young[lam] = idx
+                self._classes[bits] = got
+            else:
+                # cache the whole conjugacy class, so that only a new class
+                # ever reaches the registry's conjugacy search
+                for conj in self._conjugates(bits):
+                    self._classes[conj] = got
+        return got
+
+    def _conjugates(self, bits: int) -> set[int]:
+        """Bitsets of the G-conjugates of a subgroup, by closing under
+        conjugation by the generators."""
+        if self._conj_maps is None:
+            els = self.group.elements
+            index = {g: i for i, g in enumerate(els)}
+            self._conj_maps = [
+                [index[compose(compose(s, g), inverse(s))] for g in els]
+                for s in self.group.gens]
+        seen = {bits}
+        frontier = [bits]
+        while frontier:
+            idxs = _bit_indices(frontier.pop())
+            for cmap in self._conj_maps:
+                conj = sum(1 << cmap[i] for i in idxs)
+                if conj not in seen:
+                    seen.add(conj)
+                    frontier.append(conj)
+        return seen
 
     def decompose_degrees(self, degrees) -> BurnsideElement:
-        key = tuple(d for d in degrees if d != 0)  # FY^0 is a point
-        if not key:
-            key = (0,)
+        # FY^0 is a point, and the product's class does not depend on order
+        key = tuple(sorted(d for d in degrees if d != 0)) or (0,)
         got = self._products.get(key)
         if got is None:
-            got = decompose(self.fy_tuple_gset(key), self.registry)
-            self._products[key] = got
-            for other in set(_permuted(key)):
-                self._products.setdefault(other, got)
+            got = self._products[key] = self._decompose(key)
         return got
 
+    def _decompose(self, key) -> BurnsideElement:
+        """Orbit classes of FY^key[0] x FY^key[1] x ..., counted by Mackey
+        sums over the first factor's orbit representatives."""
+        first, *rest = key
+        # a single factor is a product with the point FY^0
+        *outer, last = [self._monomial_stabs(k) for k in rest or (0,)]
+        coeffs: dict[int, int] = {}
+        for h in self._first_orbits(first):
+            counts = Counter()
+            for prefix in _partial_ands(h, outer):
+                counts.update(map(prefix.__and__, last))
+            sums: dict[int, int] = {}
+            for bits, n in counts.items():
+                idx, order = self._classify(bits)
+                sums[idx] = sums.get(idx, 0) + n * order
+            h_order = h.bit_count()
+            for idx, total in sums.items():
+                orbits, left = divmod(total, h_order)
+                if left:
+                    raise InvalidAction("Mackey sum not divisible by |H|")
+                coeffs[idx] = coeffs.get(idx, 0) + orbits
+        belt = BurnsideElement(self.registry, coeffs)
+        if belt.cardinality() != prod(len(self._basis(k)) for k in key):
+            raise InvalidAction("orbit sizes do not add up to the product")
+        return belt
 
-def _permuted(key):
-    if len(key) == 2:
-        return [(key[1], key[0])]
-    if len(key) == 3:
-        a, b, c = key
-        return [(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
-    return []
+
+def _partial_ands(h: int, levels):
+    """h AND s_1 AND ... AND s_m over levels[0] x ... in product order."""
+    if not levels:
+        yield h
+        return
+    for s in levels[0]:
+        yield from _partial_ands(h & s, levels[1:])
 
 
 def pf2_minor_check(ctx: BurnsideContext, i: int, j: int, k: int, l: int) -> dict:
     """[FY^j][FY^k] >= [FY^i][FY^l] in B(G) for i <= j <= k <= l, i+l = j+k."""
     r = ctx.ring.r
     if not (0 <= i <= j <= k <= l <= r and i + l == j + k):
-        raise BadIndices(f"({i},{j},{k},{l})")
+        raise BadIndices(f"quadruple ({i},{j},{k},{l}) needs "
+                         f"0 <= i <= j <= k <= l <= {r} and i + l = j + k")
     big = ctx.decompose_degrees((j, k))
     small = ctx.decompose_degrees((i, l))
     ok, witness = burnside_geq(big, small)

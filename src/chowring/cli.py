@@ -25,12 +25,12 @@ import time
 
 from . import corpus as corpus_mod
 from . import scd
-from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
-                       young_stabilizer_audit)
+from .burnside import (BadIndices, BurnsideContext, pf2_minor_check,
+                       pf2_quadruples, young_stabilizer_audit)
 from .characters import (character_table, gamma_expansion, is_genuine,
                          koszul_minor, numeric_pf_check, perm_character,
                          toeplitz_minor)
-from .chow import chow_ring, lefschetz_omega
+from .chow import DegreeOutOfRange, chow_ring, lefschetz_omega
 from .koszul import verify_injection
 from .linalg import bareiss_det
 from .matroid import (MatroidError, Matroid, boolean, flat_str, graphic,
@@ -463,7 +463,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MatroidError, GroupError, json.JSONDecodeError) as exc:
+    except (UsageError, MatroidError, GroupError, json.JSONDecodeError,
+            BadIndices, DegreeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ from chowring.burnside import (
     pf2_quadruples, product, young_stabilizer_audit,
 )
 from chowring.chow import chow_ring
+from chowring.corpus import corpus_matroid
 from chowring.matroid import boolean, graphic, uniform
 from chowring.perm import (NotFullSymmetricGroup, matroid_automorphisms,
                            symmetric_group, trivial_group)
@@ -151,3 +152,68 @@ def test_quadruple_enumeration():
     assert (0, 1, 1, 2) in quads
     assert all(i + l == j + k and i <= j <= k <= l <= 2
                for i, j, k, l in quads)
+
+
+# -- the Mackey engine against the generic orbit listing ----------------------
+
+# uniform(3,7) is the first with two Young classes of one order under S_n:
+# S(3,2,2) and S(4,1,1,1) both have order 24
+CROSS_CHECK_DOCS = ("boolean(3)", "boolean(4)", "uniform(4,5)", "uniform(4,6)",
+                    "uniform(3,7)", "graphic(K4)", "graphic(W4)", "graphic(K5)")
+
+
+def c7_c8_keys(r):
+    """The products C7 and C8 decompose, in their order, as the context
+    normalizes them (zero degrees dropped, the rest sorted)."""
+    wanted = [d for i, j, k, l in pf2_quadruples(r) for d in ((j, k), (i, l))]
+    wanted += [(1, 1, 1), (3,), (1, 2), (2, 1)]
+    keys = []
+    for degrees in wanted:
+        key = tuple(sorted(d for d in degrees if d)) or (0,)
+        if key not in keys:
+            keys.append(key)
+    return keys
+
+
+def fy_product_gset(ring, group, key):
+    """FY^key[0] x FY^key[1] x ..., listed tuple by tuple."""
+    out = None
+    for k in key:
+        factor = GSet(group, ring.fy_basis(k) if k <= ring.r else (), ring.act)
+        out = factor if out is None else product(out, factor)
+    return out
+
+
+@pytest.mark.parametrize("doc", CROSS_CHECK_DOCS)
+def test_engine_matches_generic_decompose(doc):
+    ctx = ctx_for(corpus_matroid(doc))
+    oracle = SubgroupRegistry(ctx.group)
+    for key in c7_c8_keys(ctx.ring.r):
+        fast = ctx.decompose_degrees(key)
+        slow = decompose(fy_product_gset(ctx.ring, ctx.group, key), oracle)
+        assert list(fast.coeffs.items()) == list(slow.coeffs.items()), key
+    assert [len(h) for h in ctx.registry.classes] == \
+        [len(h) for h in oracle.classes]
+
+
+@pytest.mark.parametrize("doc, key", [("boolean(3)", (1, 2)),
+                                      ("graphic(K4)", (1, 1))])
+def test_engine_products_pass_marks_audit(doc, key):
+    ctx = ctx_for(corpus_matroid(doc))
+    belt = ctx.decompose_degrees(key)
+    assert marks_consistent(fy_product_gset(ctx.ring, ctx.group, key), belt)
+
+
+def test_engine_caches_whole_conjugacy_classes(monkeypatch):
+    # outside S_n each new class's conjugates are cached, so on K5 no
+    # stabilizer ever needs the transporter search
+    import chowring.burnside as burnside
+    calls = []
+    real = burnside.are_conjugate_subgroups
+    monkeypatch.setattr(burnside, "are_conjugate_subgroups",
+                        lambda *args: calls.append(args) or real(*args))
+    ctx = ctx_for(corpus_matroid("graphic(K5)"))
+    for key in c7_c8_keys(ctx.ring.r):
+        ctx.decompose_degrees(key)
+    assert len(ctx.registry.classes) == 10
+    assert calls == []

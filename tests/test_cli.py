@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chowring.cli import main
 
 
@@ -42,6 +44,17 @@ def test_bad_document_exit_2(capsys):
     assert code == 2
     code = main(["chow", "hilbert", "no-such-file.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("burnside", "pf2", "boolean(3)", "--quadruple", "3", "2", "1", "0"),
+    ("burnside", "decompose", "boolean(3)", "--degree", "-1"),
+])
+def test_input_errors_exit_2(capsys, argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_json_reports_are_deterministic(capsys):
