@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import factorial, prod
+from math import prod
 
 from .chow import ChowRing
 from .matroid import members
@@ -244,11 +244,9 @@ class BurnsideContext:
         self.group = group
         self.registry = SubgroupRegistry(group)
         self._products: dict = {}
-        self._moves = None
         self._var_stabs = None
         self._stabs: dict = {}  # degree -> stabilizer bitset per FY monomial
         self._classes: dict = {}  # stabilizer bitset -> (class index, order)
-        self._young: dict = {}  # Young partition -> class index (G = S_n)
         self._conj_maps = None
         for g in group.gens:
             ring.var_perm(g)  # fails fast if not automorphisms
@@ -260,8 +258,9 @@ class BurnsideContext:
         got = self._stabs.get(k)
         if got is None:
             if self._var_stabs is None:
-                self._moves = _point_bitsets(self.group)
-                self._var_stabs = [self._flat_stab(f) for f in self.ring.vars]
+                moves = _point_bitsets(self.group)
+                self._var_stabs = [self._flat_stab(moves, f)
+                                   for f in self.ring.vars]
             whole = (1 << self.group.order) - 1
             vs = self._var_stabs
             got = []
@@ -273,14 +272,14 @@ class BurnsideContext:
             self._stabs[k] = got
         return got
 
-    def _flat_stab(self, flat: int) -> int:
+    def _flat_stab(self, moves, flat: int) -> int:
         """Bitset of the g with g(F) = F: each e in F goes into F."""
         bits = (1 << self.group.order) - 1
         inside = members(flat)
         for e in inside:
             into = 0
             for c in inside:
-                into |= self._moves[e][c]
+                into |= moves[e][c]
             bits &= into
         return bits
 
@@ -303,31 +302,14 @@ class BurnsideContext:
         """(class index, order) of the subgroup with this element bitset."""
         got = self._classes.get(bits)
         if got is None:
-            group, moves = self.group, self._moves
-            order = bits.bit_count()
-            lam = None
-            if group.is_full_symmetric():
-                # the stabilizer of a family of subsets is the Young subgroup
-                # of its atoms, and S_lambda's class is fixed by lambda
-                blocks = {sum(1 << c for c in range(group.n) if bits & moves[e][c])
-                          for e in range(group.n)}
-                lam = tuple(sorted((b.bit_count() for b in blocks), reverse=True))
-                if prod(factorial(b) for b in lam) != order:
-                    lam = None
-            idx = self._young.get(lam)
-            if idx is None:
-                els = group.elements
-                idx = self.registry.classify(
-                    frozenset(els[i] for i in _bit_indices(bits)))
-            got = (idx, order)
-            if lam is not None:
-                self._young[lam] = idx
-                self._classes[bits] = got
-            else:
-                # cache the whole conjugacy class, so that only a new class
-                # ever reaches the registry's conjugacy search
-                for conj in self._conjugates(bits):
-                    self._classes[conj] = got
+            els = self.group.elements
+            idx = self.registry.classify(
+                frozenset(els[i] for i in _bit_indices(bits)))
+            got = (idx, bits.bit_count())
+            # cache the whole conjugacy class, so that only a new class
+            # ever reaches the registry's conjugacy search
+            for conj in self._conjugates(bits):
+                self._classes[conj] = got
         return got
 
     def _conjugates(self, bits: int) -> set[int]:
@@ -337,17 +319,18 @@ class BurnsideContext:
             els = self.group.elements
             index = {g: i for i, g in enumerate(els)}
             self._conj_maps = [
-                [index[compose(compose(s, g), inverse(s))] for g in els]
-                for s in self.group.gens]
+                [index[compose(compose(s, g), s_inv)] for g in els]
+                for s, s_inv in ((s, inverse(s)) for s in self.group.gens)]
         seen = {bits}
-        frontier = [bits]
+        frontier = [_bit_indices(bits)]
         while frontier:
-            idxs = _bit_indices(frontier.pop())
+            idxs = frontier.pop()
             for cmap in self._conj_maps:
-                conj = sum(1 << cmap[i] for i in idxs)
+                image = [cmap[i] for i in idxs]
+                conj = sum(1 << i for i in image)
                 if conj not in seen:
                     seen.add(conj)
-                    frontier.append(conj)
+                    frontier.append(image)
         return seen
 
     def decompose_degrees(self, degrees) -> BurnsideElement:

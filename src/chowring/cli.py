@@ -25,12 +25,12 @@ import time
 
 from . import corpus as corpus_mod
 from . import scd
-from .burnside import (BadIndices, BurnsideContext, pf2_minor_check,
-                       pf2_quadruples, young_stabilizer_audit)
+from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
+                       young_stabilizer_audit)
 from .characters import (character_table, gamma_expansion, is_genuine,
                          koszul_minor, numeric_pf_check, perm_character,
                          toeplitz_minor)
-from .chow import DegreeOutOfRange, chow_ring, lefschetz_omega
+from .chow import chow_ring, lefschetz_omega
 from .koszul import verify_injection
 from .linalg import bareiss_det
 from .matroid import (MatroidError, Matroid, boolean, flat_str, graphic,
@@ -152,7 +152,7 @@ def cmd_chow(args) -> int:
     if args.what == "hilbert":
         report["hilbert"] = " ".join(map(str, ring.hilbert_function()))
     elif args.what == "basis":
-        k = args.degree if args.degree is not None else 1
+        k = _degree(args, ring)
         report["degree"] = k
         report["basis"] = [ring.mono_str(mo) for mo in ring.fy_basis(k)]
     elif args.what == "pairing":
@@ -173,6 +173,24 @@ def cmd_chow(args) -> int:
         failed = not all(c["passed"] for c in checks)
     emit(report, args.json)
     return 1 if failed else 0
+
+
+def _degree(args, ring) -> int:
+    k = args.degree if args.degree is not None else 1
+    if not 0 <= k <= ring.r:
+        raise UsageError(f"--degree {k} outside 0..{ring.r}")
+    return k
+
+
+def _quadruples(args, ring) -> list:
+    quads = pf2_quadruples(ring.r)
+    if args.quadruple is None:
+        return quads
+    q = tuple(args.quadruple)
+    if q not in quads:
+        raise UsageError(f"--quadruple {' '.join(map(str, q))} needs "
+                         f"0 <= i <= j <= k <= l <= {ring.r} and i + l = j + k")
+    return [q]
 
 
 def _load_omega(args, ring, group):
@@ -238,18 +256,16 @@ def cmd_burnside(args) -> int:
               "matroid": matroid_summary(m, group)}
     failed = False
     if args.what == "decompose":
-        k = args.degree if args.degree is not None else 1
+        k = _degree(args, ring)
         report["degree"] = k
         report["decomposition"] = repr(ctx.decompose_degrees((k,)))
     elif args.what == "pf2":
-        quads = [tuple(args.quadruple)] if args.quadruple else \
-            pf2_quadruples(ring.r)
+        quads = _quadruples(args, ring)
         checks = [pf2_minor_check(ctx, *q) for q in quads]
         report["checks"] = checks
         failed = not all(c["passed"] for c in checks)
     else:  # young-audit
-        quads = [tuple(args.quadruple)] if args.quadruple else \
-            pf2_quadruples(ring.r)
+        quads = _quadruples(args, ring)
         checks = [young_stabilizer_audit(ctx, *q) for q in quads]
         report["checks"] = checks
         failed = not all(c["passed"] for c in checks)
@@ -463,8 +479,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MatroidError, GroupError, json.JSONDecodeError,
-            BadIndices, DegreeOutOfRange) as exc:
+    except (UsageError, MatroidError, GroupError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -205,8 +205,8 @@ def test_engine_products_pass_marks_audit(doc, key):
 
 
 def test_engine_caches_whole_conjugacy_classes(monkeypatch):
-    # outside S_n each new class's conjugates are cached, so on K5 no
-    # stabilizer ever needs the transporter search
+    # each new class's conjugates are cached, so on K5 no stabilizer ever
+    # needs the transporter search
     import chowring.burnside as burnside
     calls = []
     real = burnside.are_conjugate_subgroups

@@ -49,6 +49,9 @@ def test_bad_document_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ("burnside", "pf2", "boolean(3)", "--quadruple", "3", "2", "1", "0"),
     ("burnside", "decompose", "boolean(3)", "--degree", "-1"),
+    ("burnside", "decompose", "boolean(3)", "--degree", "5"),
+    ("burnside", "young-audit", "boolean(3)", "--quadruple", "0", "1", "1", "3"),
+    ("chow", "basis", "boolean(3)", "--degree", "7"),
 ])
 def test_input_errors_exit_2(capsys, argv):
     code = main(list(argv))
