@@ -285,10 +285,6 @@ class ClassFunction:
         return f"ClassFunction{self.values}"
 
 
-def zero_class_function(data: ClassData) -> ClassFunction:
-    return ClassFunction(data, [0] * len(data.reps))
-
-
 def trivial_character(data: ClassData) -> ClassFunction:
     return ClassFunction(data, [1] * len(data.reps))
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .matroid import Matroid, flat_str, members, popcount
 from . import linalg
@@ -105,6 +105,9 @@ def chow_ring(m: Matroid) -> "ChowRing":
 
 class ChowRing:
     def __init__(self, m: Matroid):
+        if m.flats[0]:
+            raise ChowError(f"matroid has loops {flat_str(m.flats[0], m.n)}; "
+                            "the Chow ring needs a loopless matroid")
         self.matroid = m
         self.r = m.r
         self.vars = m.nonempty_flats  # ascending (rank, canonical) order
@@ -441,7 +444,7 @@ class ChowRing:
         power = self.omega_power(omega, self.r - 2 * k)
         mat = self.mult_matrix(power, k)
         a_k = len(self.fy_basis(k))
-        rank = linalg.frac_rank(mat) if a_k else 0
+        rank = a_k - len(linalg.int_kernel(mat, a_k))
         return {
             "check": "hard_lefschetz", "k": k, "power": self.r - 2 * k,
             "rank": rank, "expected": a_k, "passed": rank == a_k,
@@ -458,20 +461,22 @@ class ChowRing:
         return 1 if top > 0 else -1
 
     def _qform(self, omega, k):
-        power = self.omega_power(omega, self.r - 2 * k)
-        basis = self.fy_basis(k)
+        """Q[a][b] = sign * deg(a * b * omega^(r-2k)) on FY^k, built as
+        sign * P M: P is the degree-k Poincare pairing and M is
+        multiplication by omega^(r-2k) from FY^k to FY^(r-k), so
+        Q[a][b] = sign * sum_m deg(a * m) M[m][b]."""
         sign = (-1 if k % 2 else 1) * self.orientation(omega)
-        mat = []
-        for a in basis:
-            row = []
-            for b in basis:
-                ab = mono_mul(a, b)
-                v = 0
-                for m, c in power.terms.items():
-                    v += c * self.deg_top(mono_mul(ab, m))
-                row.append(sign * v)
-            mat.append(row)
-        return mat
+        pmat = self.pairing_matrix(k)
+        mmat = self.mult_matrix(self.omega_power(omega, self.r - 2 * k), k)
+        qmat = []
+        for prow in pmat:
+            row = [0] * len(pmat)
+            for m, p in enumerate(prow):
+                if p:
+                    c = sign * p
+                    row = [x + c * y for x, y in zip(row, mmat[m])]
+            qmat.append(row)
+        return qmat
 
     def hodge_riemann_check(self, omega: "LefschetzElement", k: int) -> dict:
         if k > self.r / 2:
@@ -479,17 +484,21 @@ class ChowRing:
         a_k = len(self.fy_basis(k))
         qmat = self._qform(omega, k)
         if k == 0:
-            kernel = [[Fraction(1)]] if a_k else []
+            kernel = [[1]] if a_k else []
         else:
             lift = self.mult_matrix(self.omega_power(omega, self.r - 2 * k + 1), k)
-            kernel = linalg.frac_kernel(lift, a_k)
+            kernel = linalg.int_kernel(lift, a_k)
         dim = len(kernel)
-        # restricted = K Q K^T, staged to stay quadratic per entry
-        qk = [[sum(qmat[a][b] * kernel[j][b] for b in range(a_k))
-               for j in range(dim)] for a in range(a_k)]
-        restricted = [[sum(kernel[i][a] * qk[a][j] for a in range(a_k))
-                       for j in range(dim)] for i in range(dim)]
-        ok, bad = linalg.symmetric_positive_definite(restricted)
+        # restricted = K Q K^T, entry (i, j) = v_i . Q v_j; Q is symmetric
+        # and often sparse (it is +-P when r = 2k)
+        qrows = [[(b, q) for b, q in enumerate(row) if q] for row in qmat]
+        qk = [[sum([q * v[b] for b, q in qrow]) for qrow in qrows]
+              for v in kernel]
+        restricted = [[0] * dim for _ in range(dim)]
+        for i, u in enumerate(kernel):
+            for j in range(i, dim):
+                restricted[i][j] = restricted[j][i] = sum(map(mul, u, qk[j]))
+        ok, bad = linalg.int_positive_definite(restricted)
         return {
             "check": "hodge_riemann", "k": k, "primitive_dim": dim,
             "passed": ok, "failing_minor": bad,
@@ -683,36 +692,37 @@ def default_coefficient_rule(n: int):
     return rule
 
 
-def check_submodular(coefficient_rule, n: int) -> bool:
-    """Strict submodularity over incomparable subset pairs, plus vanishing at
-    the empty set and the full ground set. (Nested pairs give equality
-    identically, so strictness is only meaningful off the chain relation.)"""
-    full = (1 << n) - 1
-    if coefficient_rule(0) != 0 or coefficient_rule(full) != 0:
-        return False
-    vals = [coefficient_rule(s) for s in range(full + 1)]
+def submodularity_witness(vals) -> tuple[int, int] | None:
+    """The first pair of subset masks (A, B) at which the values vals[mask]
+    of a coefficient rule break `check_submodular`: (0, E) when they do not
+    vanish at the empty set and the full set E, None when they pass."""
+    full = len(vals) - 1
+    if vals[0] != 0 or vals[full] != 0:
+        return 0, full
     for a in range(full + 1):
         for b in range(a + 1, full + 1):
             if a & b == a or a & b == b:
                 continue
             if vals[a] + vals[b] <= vals[a & b] + vals[a | b]:
-                return False
-    return True
+                return a, b
+    return None
+
+
+def check_submodular(coefficient_rule, n: int) -> bool:
+    """Strict submodularity over incomparable subset pairs, plus vanishing at
+    the empty set and the full ground set. (Nested pairs give equality
+    identically, so strictness is only meaningful off the chain relation.)"""
+    vals = [coefficient_rule(s) for s in range(1 << n)]
+    return submodularity_witness(vals) is None
 
 
 def lefschetz_omega(ring: ChowRing, coefficient_rule=None, group=None) -> LefschetzElement:
     n = ring.matroid.n
     rule = coefficient_rule or default_coefficient_rule(n)
-    full = (1 << n) - 1
-    if rule(0) != 0 or rule(full) != 0:
-        raise NotSubmodular(0, full)
-    vals = [rule(s) for s in range(full + 1)]
-    for a in range(full + 1):
-        for b in range(a + 1, full + 1):
-            if a & b == a or a & b == b:
-                continue
-            if vals[a] + vals[b] <= vals[a & b] + vals[a | b]:
-                raise NotSubmodular(a, b)
+    vals = [rule(s) for s in range(1 << n)]
+    witness = submodularity_witness(vals)
+    if witness is not None:
+        raise NotSubmodular(*witness)
     if group is not None:
         from .perm import perm_mask
         for g in group.gens:

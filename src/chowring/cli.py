@@ -51,39 +51,73 @@ def load_matroid_document(doc: str) -> Matroid:
     if doc.lstrip().startswith("{"):
         payload = json.loads(doc)
     else:
-        try:
-            with open(doc) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read matroid document: {exc}") from exc
+        payload = _read_json(doc, "matroid document")
     return matroid_from_document(payload)
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
 def matroid_from_document(payload: dict) -> Matroid:
+    if not isinstance(payload, dict):
+        raise UsageError("matroid document must be a JSON object")
     if "type" in payload:
         kind = payload["type"]
         if kind == "uniform":
-            return uniform(payload["rank"], payload["n"])
-        if kind == "boolean":
-            return boolean(payload["n"])
-        if kind == "graphic":
-            return graphic([tuple(e) for e in payload["edges"]])
-        raise UsageError(f"unknown matroid type {kind!r}")
-    n = payload["ground_set"]
-    if "flats" in payload:
-        return matroid_from_flats(n, [mask_of(e - 1 for e in f)
-                                      for f in payload["flats"]])
-    if "bases" in payload:
-        return matroid_from_bases(n, [mask_of(e - 1 for e in b)
-                                      for b in payload["bases"]])
-    raise UsageError("matroid document needs 'type', 'flats' or 'bases'")
+            m = uniform(_int_field(payload, "rank"), _int_field(payload, "n"))
+        elif kind == "boolean":
+            m = boolean(_int_field(payload, "n"))
+        elif kind == "graphic":
+            edges = payload.get("edges")
+            if not (isinstance(edges, list) and all(
+                    isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+                    for e in edges)):
+                raise UsageError("'edges' must be a list of [u, v] integer pairs")
+            m = graphic([tuple(e) for e in edges])
+        else:
+            raise UsageError(f"unknown matroid type {kind!r}")
+    else:
+        n = _int_field(payload, "ground_set")
+        if "flats" in payload:
+            m = matroid_from_flats(n, _subsets_field(payload, "flats", n))
+        elif "bases" in payload:
+            m = matroid_from_bases(n, _subsets_field(payload, "bases", n))
+        else:
+            raise UsageError("matroid document needs 'type', 'flats' or 'bases'")
+    if m.flats[0]:
+        raise UsageError(f"matroid has loops: {flat_str(m.flats[0], m.n)}")
+    return m
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(payload: dict, key: str) -> int:
+    value = payload.get(key)
+    if not _is_int(value):
+        raise UsageError(f"matroid document needs an integer {key!r}")
+    return value
+
+
+def _subsets_field(payload: dict, key: str, n: int) -> list[int]:
+    sets = payload[key]
+    if not (isinstance(sets, list) and all(
+            isinstance(s, list) and all(_is_int(e) and 1 <= e <= n for e in s)
+            for s in sets)):
+        raise UsageError(f"{key!r} must be a list of lists of elements 1..{n}")
+    return [mask_of(e - 1 for e in s) for s in sets]
 
 
 def load_group(spec: str, m: Matroid):
     if spec == "auto":
         return matroid_automorphisms(m)
-    with open(spec) as fh:
-        payload = json.load(fh)
+    payload = _read_json(spec, "--group file")
     if payload.get("auto"):
         return matroid_automorphisms(m)
     gens = [[i - 1 for i in g] for g in payload["generators"]]
@@ -196,8 +230,7 @@ def _quadruples(args, ring) -> list:
 def _load_omega(args, ring, group):
     if args.omega == "default":
         return lefschetz_omega(ring, group=group)
-    with open(args.omega) as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.omega, "--omega file")
     table = {mask_of(e - 1 for e in entry["set"]): entry["c"]
              for entry in payload}
     return lefschetz_omega(ring, coefficient_rule=lambda s: table.get(s, 0),

@@ -289,6 +289,17 @@ def injection_3x3(ring: ChowRing, side: str, comp1, comp2):
     return CaseMap(ring).apply(side, comp1, comp2)
 
 
+def minor_3x3(ctx: BurnsideContext):
+    """The 3x3 Burnside minor [FY1^3] + [FY3] - [FY1 x FY2] - [FY2 x FY1]
+    by direct decomposition, independently of the case table. Returns
+    (nonnegative, first class with a negative coefficient or None)."""
+    minuend = ctx.decompose_degrees((1, 1, 1))
+    if ctx.ring.r >= 3:
+        minuend = minuend + ctx.decompose_degrees((3,))
+    sub = ctx.decompose_degrees((1, 2)) + ctx.decompose_degrees((2, 1))
+    return burnside_geq(minuend, sub)
+
+
 def verify_injection(ring: ChowRing, group, which="3x3",
                      check_minor=True, ctx=None) -> dict:
     """Exhaustively check the case map: totality (exactly one rule per
@@ -371,11 +382,7 @@ def verify_injection(ring: ChowRing, group, which="3x3",
     if check_minor:
         if ctx is None:
             ctx = BurnsideContext(ring, group)
-        minuend = ctx.decompose_degrees((1, 1, 1))
-        if r >= 3:
-            minuend = minuend + ctx.decompose_degrees((3,))
-        sub = ctx.decompose_degrees((1, 2)) + ctx.decompose_degrees((2, 1))
-        ok, witness = burnside_geq(minuend, sub)
+        ok, witness = minor_3x3(ctx)
         report["minor_nonnegative"] = ok
         report["minor_witness"] = None if ok else ctx.registry.describe(witness)
         report["minor_agrees_with_injection"] = (ok == report["passed"]) or ok

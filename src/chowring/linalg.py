@@ -1,8 +1,12 @@
-"""Exact linear algebra over the rationals and integers.
+"""Exact linear algebra over the integers, with rational test oracles.
 
-Dense routines take lists of lists of ints/Fractions; the sparse rank routine
-takes rows as {column: int} dicts. Pivots prefer small entries (minimal bit
-length) so intermediate swell stays bounded at desk scale.
+The program's checks use the fraction-free routines: `int_kernel` (kernel
+and rank), `int_positive_definite`, `bareiss_det` and `sparse_int_rank`.
+`frac_rank`, `frac_kernel` and `symmetric_positive_definite` compute the same
+things over Q with `Fraction` and serve as oracles in the tests. Dense
+routines take lists of lists; the sparse rank routine takes rows as
+{column: int} dicts. Pivots prefer small entries (minimal bit length) so
+intermediate swell stays bounded at desk scale.
 """
 
 from __future__ import annotations
@@ -87,6 +91,56 @@ def frac_kernel(rows, ncols) -> list[list[Fraction]]:
     return basis
 
 
+def int_kernel(rows, ncols) -> list[list[int]]:
+    """Basis of {v : M v = 0} over Q for an integer matrix, fraction-free.
+
+    Gauss-Jordan elimination in Bareiss form: each step replaces every other
+    row by (pivot * row - entry * pivot row) // previous pivot, an exact
+    division whose quotients are minors of M. At the end every pivot row
+    holds the same minor d at its pivot column. The vector for a free column
+    f is (d at f, -row entries at the pivot columns), made primitive with a
+    positive entry at f: the same vector, in the same order, as
+    `frac_kernel`, whatever pivot rows are chosen.
+    """
+    m = [list(row) for row in rows]
+    pivot_cols = []
+    prev = 1
+    for col in range(ncols):
+        top = len(pivot_cols)
+        if top == len(m):
+            break
+        rows_here = [i for i in range(top, len(m)) if m[i][col]]
+        if not rows_here:
+            continue
+        pick = min(rows_here, key=lambda i: abs(m[i][col]).bit_length())
+        m[top], m[pick] = m[pick], m[top]
+        prow = m[top]
+        pv = prow[col]
+        for i, ri in enumerate(m):
+            if i == top:
+                continue
+            f = ri[col]
+            if f:
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(ri, prow)]
+            elif pv != prev:
+                m[i] = [pv * x // prev for x in ri]
+        pivot_cols.append(col)
+        prev = pv
+    pivot_set = set(pivot_cols)
+    sign = 1 if prev > 0 else -1
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [0] * ncols
+        v[free] = prev
+        for prow, pcol in enumerate(pivot_cols):
+            v[pcol] = -m[prow][free]
+        g = gcd(*v) * sign
+        basis.append([x // g for x in v])
+    return basis
+
+
 def bareiss_det(matrix) -> int:
     """Exact determinant of an integer matrix (fraction-free elimination with
     row/column pivoting on minimal-bit-length entries)."""
@@ -129,10 +183,6 @@ def bareiss_det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def int_matrix_rank(matrix) -> int:
-    return frac_rank(matrix)
-
-
 def symmetric_positive_definite(matrix) -> tuple[bool, int | None]:
     """Exact positive-definiteness certificate for a symmetric rational matrix:
     all leading principal minors positive (Bareiss sequence, no pivoting).
@@ -151,6 +201,32 @@ def symmetric_positive_definite(matrix) -> tuple[bool, int | None]:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
+        prev = pivot
+    return True, None
+
+
+def int_positive_definite(matrix) -> tuple[bool, int | None]:
+    """`symmetric_positive_definite` for an integer matrix: the same Bareiss
+    sequence of leading principal minors, with exact integer division.
+    Returns (is_pd, index of first failing minor or None)."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    for i in range(n):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError("matrix is not symmetric")
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False, k
+        # the trailing block stays symmetric: update its upper triangle only
+        rk = m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            f = rk[i]
+            ri[i:] = [(x * pivot - f * y) // prev
+                      for x, y in zip(ri[i:], rk[i:])]
         prev = pivot
     return True, None
 

@@ -87,7 +87,6 @@ class Matroid:
         self.nonempty_flats = tuple(nonempty)
         self.atoms = tuple(f for f in nonempty if rank_of[f] == 1)
         self._covers = None
-        self._above = None
 
     # -- queries ----------------------------------------------------------
 
@@ -131,13 +130,6 @@ class Matroid:
                         cov.append(y)
                 self._covers[x] = tuple(sorted(cov, key=flat_sort_key))
         return self._covers[f]
-
-    def flats_above(self, f: int) -> tuple[int, ...]:
-        """Flats containing f, including f itself, in canonical order."""
-        if self._above is None:
-            self._above = {x: tuple(y for y in self.flats if y & x == x)
-                           for x in self.flats}
-        return self._above[f]
 
     def is_simple(self) -> bool:
         if self.flats[0] != 0:

@@ -113,7 +113,6 @@ class PermGroup:
         self.elements = tuple(sorted(elements))
         self.element_set = frozenset(self.elements)
         self._classes = None
-        self._flat_perm = {}
 
     @property
     def order(self) -> int:
@@ -165,16 +164,6 @@ class PermGroup:
         return idx
 
     # -- actions on a matroid's flats --------------------------------------
-
-    def flat_perm(self, matroid: Matroid, g) -> tuple[int, ...]:
-        """Permutation of flat indices induced by g (must be an automorphism)."""
-        key = (id(matroid), g)
-        cached = self._flat_perm.get(key)
-        if cached is None:
-            idx = matroid.flat_index
-            cached = tuple(idx[perm_mask(g, f)] for f in matroid.flats)
-            self._flat_perm[key] = cached
-        return cached
 
 
 def group_from_generators(n: int, gens, cap=GROUP_CAP) -> PermGroup:
@@ -265,11 +254,6 @@ def _reduce_generators(elements, n):
 
 
 # -- orbits, stabilizers, conjugacy ----------------------------------------
-
-def element_conjugacy_classes(group: PermGroup):
-    """(representative, class) pairs with deterministic minimal reps."""
-    return group.conjugacy_classes()
-
 
 def orbit(group: PermGroup, x, action):
     """Orbit of x under the group (BFS over generators)."""

@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from chowring.chow import (
-    ChowError, DegreeOutOfRange, NotAnFYMonomial, NotSubmodular, NotTopDegree,
-    UnknownVariable, check_submodular, chow_ring, default_coefficient_rule,
-    lefschetz_omega, mono_mul,
+    ChowError, ChowRing, DegreeOutOfRange, LefschetzElement, NotAnFYMonomial,
+    NotSubmodular, NotTopDegree, UnknownVariable, check_submodular, chow_ring,
+    default_coefficient_rule, lefschetz_omega, mono_mul,
 )
-from chowring.linalg import bareiss_det, frac_rank
-from chowring.matroid import boolean, mask_of, uniform
+from chowring.corpus import corpus_matroid
+from chowring.linalg import (bareiss_det, frac_kernel, frac_rank,
+                             symmetric_positive_definite)
+from chowring.matroid import boolean, mask_of, matroid_from_bases, uniform
 from chowring.perm import from_cycles, matroid_automorphisms
 
 
@@ -157,6 +161,71 @@ def test_hodge_riemann_b4_all_k():
     for k in range(ring.r // 2 + 1):
         assert ring.hodge_riemann_check(omega, k)["passed"]
         assert ring.hard_lefschetz_check(omega, k)["passed"]
+
+
+def _direct_qform(ring, omega, k):
+    """Q[a][b] = sign * deg(a * b * omega^(r-2k)), one deg_top per term."""
+    power = ring.omega_power(omega, ring.r - 2 * k)
+    sign = (-1 if k % 2 else 1) * ring.orientation(omega)
+    basis = ring.fy_basis(k)
+    return [[sign * sum(c * ring.deg_top(mono_mul(mono_mul(a, b), m))
+                        for m, c in power.terms.items())
+             for b in basis] for a in basis]
+
+
+@pytest.mark.parametrize("name", ["boolean(4)", "graphic(K4)"])
+def test_qform_is_pairing_times_multiplication(name):
+    ring = chow_ring(corpus_matroid(name))
+    omega = lefschetz_omega(ring)
+    for k in range(ring.r // 2 + 1):
+        assert ring._qform(omega, k) == _direct_qform(ring, omega, k)
+
+
+def _fraction_hodge_riemann(ring, omega, k):
+    """The Hodge-Riemann verdict over Q: kernel, K Q K^T and the
+    positive-definiteness test all in Fraction arithmetic."""
+    a_k = len(ring.fy_basis(k))
+    if k == 0:
+        kernel = [[Fraction(1)]]
+    else:
+        lift = ring.mult_matrix(ring.omega_power(omega, ring.r - 2 * k + 1), k)
+        kernel = frac_kernel(lift, a_k)
+    q = _direct_qform(ring, omega, k)
+    restricted = [[sum(u[a] * q[a][b] * v[b] for a in range(a_k)
+                       for b in range(a_k)) for v in kernel] for u in kernel]
+    return symmetric_positive_definite(restricted)
+
+
+@pytest.mark.parametrize("name, flat, shift, minor", [
+    ("boolean(4)", [1], 6, 9),
+    ("boolean(4)", [1], -6, 2),
+    ("boolean(4)", [1, 2, 3], 20, 8),
+    ("graphic(K4)", [1], -20, 0),
+])
+def test_non_lefschetz_omega_fails_like_fraction_path(name, flat, shift, minor):
+    """Shifting one coefficient of the default rule gives a class that is
+    not Lefschetz; the integer check fails at the same leading minor as the
+    Fraction computation. (Negating omega changes nothing: the orientation
+    and omega^(r-2k) change sign together.)"""
+    m = corpus_matroid(name)
+    ring = chow_ring(m)
+    rule = default_coefficient_rule(m.n)
+    target = mask_of(e - 1 for e in flat)
+    coeffs = {f: rule(f) + (shift if f == target else 0) for f in ring.vars}
+    element = ring.normal_form({((ring.var_index[f], 1),): c
+                                for f, c in coeffs.items() if c})
+    omega = LefschetzElement(ring, coeffs, element)
+    reports = [ring.hodge_riemann_check(omega, k) for k in range(ring.r // 2 + 1)]
+    assert [r["failing_minor"] for r in reports if not r["passed"]] == [minor]
+    for rep in reports:
+        assert (rep["passed"], rep["failing_minor"]) == \
+            _fraction_hodge_riemann(ring, omega, rep["k"])
+
+
+def test_loops_are_rejected():
+    loopy = matroid_from_bases(3, [mask_of([0, 1])])
+    with pytest.raises(ChowError, match="loops"):
+        ChowRing(loopy)
 
 
 def test_hilbert_symmetry_and_vanishing():

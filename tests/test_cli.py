@@ -52,6 +52,12 @@ def test_bad_document_exit_2(capsys):
     ("burnside", "decompose", "boolean(3)", "--degree", "5"),
     ("burnside", "young-audit", "boolean(3)", "--quadruple", "0", "1", "1", "3"),
     ("chow", "basis", "boolean(3)", "--degree", "7"),
+    ("verify", "all", '{"ground_set": 3, "bases": [[1, 2]]}'),
+    ("chow", "hilbert", '{"ground_set": 3, "bases": [[1, 2]]}'),
+    ("chow", "hilbert", '{"type": "uniform", "n": 5}'),
+    ("chow", "hilbert", '{"type": "uniform", "n": 5, "rank": "4"}'),
+    ("chow", "hilbert", "boolean(3)", "--group", "no-such-group.json"),
+    ("chow", "lefschetz", "boolean(3)", "--omega", "no-such-omega.json"),
 ])
 def test_input_errors_exit_2(capsys, argv):
     code = main(list(argv))
