@@ -123,8 +123,6 @@ class ChowRing:
             for i in range(self.nvars))
         self._fy_by_degree = None
         self._nf_cache: dict = {}
-        self._deg_top: dict = {}
-        self._pending_top: dict = {}
         self._var_perm: dict = {}
         self._omega_powers: dict = {}
 
@@ -157,9 +155,6 @@ class ChowRing:
                 out.append(j)
             prev = self.vrank[vi]
         return out
-
-    def is_fy(self, mono) -> bool:
-        return self.is_chain(mono) and not self.violations(mono)
 
     def mono_str(self, mono) -> str:
         if not mono:
@@ -322,67 +317,19 @@ class ChowRing:
             self._nf_cache[mono] = got
         return got
 
-    def normal_form(self, terms, strategy="fy") -> "ChowElement":
-        if strategy == "fy":
-            acc = {}
-            for mono, c in terms.items():
-                if c:
-                    for m2, c2 in self.nf_monomial(tuple(mono)).items():
-                        acc[m2] = acc.get(m2, 0) + c * c2
-            acc = {m: c for m, c in acc.items() if c}
-            return ChowElement(self, acc)
-        return ChowElement(self, self.normal_form_terms(terms, strategy))
-
-    # -- top-degree degree map (memoized, iterative) ---------------------------
+    def normal_form(self, terms) -> "ChowElement":
+        acc = {}
+        for mono, c in terms.items():
+            if c:
+                for m2, c2 in self.nf_monomial(tuple(mono)).items():
+                    acc[m2] = acc.get(m2, 0) + c * c2
+        return ChowElement(self, {m: c for m, c in acc.items() if c})
 
     def deg_top(self, mono) -> int:
         """deg of a monomial of total degree r (0 unless it reduces to x_E^r)."""
-        memo = self._deg_top
-        got = memo.get(mono)
-        if got is not None:
-            return got
-        pending = self._pending_top
-        stack = [mono]
-        while stack:
-            m = stack[-1]
-            if m in memo:
-                stack.pop()
-                continue
-            if not self.is_chain(m):
-                memo[m] = 0
-                stack.pop()
-                continue
-            viol = self.violations(m)
-            if not viol:
-                memo[m] = 1 if m == self.top_mono else 0
-                stack.pop()
-                continue
-            kids = pending.get(m)
-            if kids is None:
-                kids = [kc for kc in self._expansion(m, viol[0])
-                        if self.is_chain(kc[0])]
-                pending[m] = kids
-            missing = [child for child, _ in kids if child not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[m] = sum(mult * memo[child] for child, mult in kids)
-            del pending[m]
-            stack.pop()
-        return memo[mono]
-
-    def deg_of_product(self, *monos) -> int:
-        prod = UNIT
-        for m in monos:
-            prod = mono_mul(prod, m)
-        if mono_degree(prod) != self.r:
-            raise NotTopDegree(f"degree {mono_degree(prod)} != {self.r}")
-        return self.deg_top(prod)
+        return self.nf_monomial(mono).get(self.top_mono, 0)
 
     # -- ring operations ------------------------------------------------------
-
-    def element(self, terms) -> "ChowElement":
-        return self.normal_form(terms)
 
     def one(self) -> "ChowElement":
         return ChowElement(self, {UNIT: 1})

@@ -30,13 +30,14 @@ from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
 from .characters import (character_table, gamma_expansion, is_genuine,
                          koszul_minor, numeric_pf_check, perm_character,
                          toeplitz_minor)
-from .chow import chow_ring, lefschetz_omega
+from .chow import NotGroupFixed, NotSubmodular, chow_ring, lefschetz_omega
 from .koszul import verify_injection
 from .linalg import bareiss_det
 from .matroid import (MatroidError, Matroid, boolean, flat_str, graphic,
                       mask_of, matroid_from_bases, matroid_from_flats,
                       uniform)
-from .perm import GroupError, group_from_generators, matroid_automorphisms, perm_str
+from .perm import (GroupError, group_from_generators, matroid_automorphisms,
+                   perm_mask, perm_str)
 from .verify import run_battery
 
 
@@ -118,12 +119,25 @@ def load_group(spec: str, m: Matroid):
     if spec == "auto":
         return matroid_automorphisms(m)
     payload = _read_json(spec, "--group file")
+    if not isinstance(payload, dict):
+        raise UsageError("--group file must be a JSON object")
     if payload.get("auto"):
         return matroid_automorphisms(m)
-    gens = [[i - 1 for i in g] for g in payload["generators"]]
+    gens = payload.get("generators")
+    if not (_is_int(payload.get("degree")) and isinstance(gens, list) and all(
+            isinstance(g, list) and all(map(_is_int, g)) for g in gens)):
+        raise UsageError("--group file needs an integer 'degree' and "
+                         "'generators' as a list of integer lists")
     if payload["degree"] != m.n:
         raise UsageError("group degree does not match the ground set")
-    return group_from_generators(m.n, gens)
+    group = group_from_generators(m.n, [[i - 1 for i in g] for g in gens])
+    for g in group.gens:
+        for f in m.flats:
+            if not m.is_flat(perm_mask(g, f)):
+                raise UsageError(
+                    f"generator {perm_str(g)} does not preserve the flats "
+                    f"(the image of {flat_str(f, m.n)} is not a flat)")
+    return group
 
 
 def matroid_summary(m: Matroid, group=None) -> dict:
@@ -231,10 +245,21 @@ def _load_omega(args, ring, group):
     if args.omega == "default":
         return lefschetz_omega(ring, group=group)
     payload = _read_json(args.omega, "--omega file")
+    n = ring.matroid.n
+    if not (isinstance(payload, list) and all(
+            isinstance(entry, dict) and _is_int(entry.get("c"))
+            and isinstance(entry.get("set"), list)
+            and all(_is_int(e) and 1 <= e <= n for e in entry["set"])
+            for entry in payload)):
+        raise UsageError("--omega file must be a list of objects with 'set' "
+                         f"(elements 1..{n}) and an integer 'c'")
     table = {mask_of(e - 1 for e in entry["set"]): entry["c"]
              for entry in payload}
-    return lefschetz_omega(ring, coefficient_rule=lambda s: table.get(s, 0),
-                           group=group)
+    try:
+        return lefschetz_omega(ring, coefficient_rule=lambda s: table.get(s, 0),
+                               group=group)
+    except (NotSubmodular, NotGroupFixed) as exc:
+        raise UsageError(f"--omega rule: {exc}") from exc
 
 
 def cmd_scd(args) -> int:
@@ -396,8 +421,7 @@ def cmd_verify(args) -> int:
     m = load_matroid_document(args.doc)
     group = load_group(args.group, m)
     t0 = time.perf_counter()
-    results = run_battery(m, group, deep=args.deep, seed=args.seed,
-                          jobs=args.jobs)
+    results = run_battery(m, group, deep=args.deep, seed=args.seed)
     report = {"command": "verify all",
               "matroid": matroid_summary(m, group),
               "checks": [r.to_dict(with_timing=args.timings) for r in results],
@@ -425,9 +449,6 @@ def _add_common(parser, suppress=False):
     parser.add_argument("--seed", type=int,
                         help="seed for sampled property checks",
                         **(kw or {"default": 0}))
-    parser.add_argument("--jobs", type=int,
-                        help="worker processes for independent checks",
-                        **(kw or {"default": 1}))
     parser.add_argument("--timings", action="store_true",
                         help="include wall times in reports",
                         **({"default": argparse.SUPPRESS} if suppress else {}))

@@ -406,48 +406,14 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, deep=False,
 
 
 def run_battery(m: Matroid, group: PermGroup | None = None, deep=False,
-                seed=0, jobs=1) -> list[CheckResult]:
+                seed=0) -> list[CheckResult]:
     ring = chow_ring(m)
     if group is None:
         group = matroid_automorphisms(m)
-    items = battery_items(m, ring, group, deep, seed)
-    if jobs > 1:
-        parallel = _run_items_forked(items, jobs)
-        if parallel is not None:
-            return parallel
     results: list[CheckResult] = []
-    for battery, name, fn, gap in items:
+    for battery, name, fn, gap in battery_items(m, ring, group, deep, seed):
         _timed(results, battery, name, fn, known_gap=gap)
     return results
-
-
-def _run_items_forked(items, jobs):
-    """Run battery items in forked workers (results assembled in item
-    order); falls back to None where fork is unavailable."""
-    import multiprocessing as mp
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return None
-    global _FORK_ITEMS
-    _FORK_ITEMS = items
-    with ctx.Pool(min(jobs, len(items))) as pool:
-        rows = pool.map(_run_one_item, range(len(items)))
-    out = []
-    for (battery, name, _, gap), (passed, details, elapsed) in zip(items, rows):
-        out.append(CheckResult(battery, name, passed, details,
-                               gap if not passed else None, elapsed))
-    return out
-
-
-_FORK_ITEMS: list = []
-
-
-def _run_one_item(index):
-    battery, name, fn, _ = _FORK_ITEMS[index]
-    t0 = time.perf_counter()
-    passed, details = fn()
-    return passed, _plain(details), time.perf_counter() - t0
 
 
 def check_boolean3_burnside_gamma(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:

@@ -181,6 +181,21 @@ def test_qform_is_pairing_times_multiplication(name):
         assert ring._qform(omega, k) == _direct_qform(ring, omega, k)
 
 
+@pytest.mark.parametrize("name", ["boolean(4)", "uniform(4,6)", "graphic(K4)"])
+def test_pairing_matrix_against_plain_reduction(name):
+    """Each pairing entry is the x_E^r coefficient of the product reduced by
+    the plain strategy, which pivots in the other order; the pairing in
+    degree r - k is the transpose of the pairing in degree k."""
+    ring = chow_ring(corpus_matroid(name))
+    for k in range(ring.r + 1):
+        pmat = ring.pairing_matrix(k)
+        assert pmat == [
+            [ring.normal_form_terms({mono_mul(a, b): 1}, "plain")
+             .get(ring.top_mono, 0) for b in ring.fy_basis(ring.r - k)]
+            for a in ring.fy_basis(k)]
+        assert ring.pairing_matrix(ring.r - k) == [list(c) for c in zip(*pmat)]
+
+
 def _fraction_hodge_riemann(ring, omega, k):
     """The Hodge-Riemann verdict over Q: kernel, K Q K^T and the
     positive-definiteness test all in Fraction arithmetic."""

