@@ -6,6 +6,9 @@ Two table backends:
   * anything else: Dixon's method -- simultaneous eigenvectors of the
     class-sum matrices over GF(p) with p = 1 mod exponent(G), lifted to exact
     cyclotomic-integer values via discrete Fourier inversion on power maps.
+    p is about 4|G|, so the eigenvalues are found by evaluating the
+    characteristic polynomial at every element of GF(p); that costs about as
+    much as the class multiplication coefficients.
 
 Every table is audited against both orthogonality relations before use.
 """
@@ -401,108 +404,12 @@ def _nullspace_mod(mat, p):
     return basis
 
 
-def _poly_mul_mod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_rem(out, f, p)
-
-
-def _poly_rem(a, f, p):
-    a = a[:]
-    df = len(f) - 1
-    inv = pow(f[-1], p - 2, p)
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            q = c * inv % p
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - q * f[j]) % p
-    out = a[:df]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd_mod(a, b, p):
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        a, b = b, _poly_trim(_poly_rem(a, b, p))
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a or [0]
-
-
-def _poly_powmod(base, exp, f, p):
-    result = [1]
-    base = _poly_rem(base, f, p)
-    while exp:
-        if exp & 1:
-            result = _poly_mul_mod(result, base, f, p)
-        base = _poly_mul_mod(base, base, f, p)
-        exp >>= 1
-    return result
-
-
-def _poly_roots_mod(f, p, rng):
-    """Distinct roots in GF(p) (Cantor-Zassenhaus splitting of the product of
-    linear factors gcd(f, x^p - x))."""
-    f = _poly_trim([c % p for c in f])
-    roots = []
-
-    def split(g):
-        if len(g) <= 1:
-            return
-        if len(g) == 2:
-            roots.append((-g[0] * pow(g[1], p - 2, p)) % p)
-            return
-        while True:
-            delta = rng.randrange(p)
-            h = _poly_powmod([delta, 1], (p - 1) // 2, g, p)
-            h = h[:] + [0]
-            h[0] = (h[0] - 1) % p
-            d = _poly_gcd_mod(g, h, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                q, rem = _poly_divmod_mod(g, d, p)
-                assert not any(rem)
-                split(d)
-                split(_poly_trim(q))
-                return
-
-    xp = _poly_powmod([0, 1], p, f, p)
-    xp = xp[:] + [0, 0]
-    xp[1] = (xp[1] - 1) % p
-    lin = _poly_gcd_mod(f, _poly_trim(xp), p)
-    split(lin)
-    return sorted(set(roots))
-
-
-def _poly_divmod_mod(num, den, p):
-    num = [c % p for c in num]
-    dd = len(den) - 1
-    inv = pow(den[-1], p - 2, p)
-    out = [0] * (len(num) - dd)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[dd + i] % p
-        if c:
-            q = c * inv % p
-            out[i] = q
-            for j in range(dd + 1):
-                num[i + j] = (num[i + j] - q * den[j]) % p
-    return out, num[:dd]
+def _horner(poly, x, p):
+    """poly (coefficients from the constant term up) evaluated at x mod p."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _dixon_table(group: PermGroup, data: ClassData):
@@ -532,7 +439,7 @@ def _dixon_table(group: PermGroup, data: ClassData):
         t = [[sum(coeffs[i] * mats[i][r][c] for i in range(m)) % p
               for c in range(m)] for r in range(m)]
         charpoly = _charpoly_mod(t, p)
-        roots = _poly_roots_mod(charpoly, p, rng)
+        roots = [x for x in range(p) if _horner(charpoly, x, p) == 0]
         spaces = []
         ok = True
         for lam in roots:
@@ -746,12 +653,10 @@ def is_genuine(chi: ClassFunction, table: CharacterTable):
 
 # -- Toeplitz and Koszul minors ---------------------------------------------------
 
-def toeplitz_minor(seq, rows, cols, zero=None, one=None):
+def toeplitz_minor(seq, rows, cols):
     """det of the submatrix T[rows, cols] of the Toeplitz matrix T[r][c] =
     seq[c - r] (entries outside 0..len(seq)-1 are zero; seq[0] plays A^0)."""
-
-    if zero is None:
-        zero = seq[0] * 0
+    zero = seq[0] * 0
     entries = [[seq[c - r] if 0 <= c - r < len(seq) else zero for c in cols]
                for r in rows]
     return _det_ring(entries, zero)

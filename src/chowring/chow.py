@@ -501,7 +501,7 @@ class ChowRing:
                             row[cid] = row.get(cid, 0) + 1
                 if row:
                     atom_rows.append(row)
-        rank = linalg.sparse_int_rank(atom_rows, col_priority=lambda c: -c)
+        rank = linalg.sparse_int_rank(atom_rows)
         return len(cols) - rank
 
     # -- group action -----------------------------------------------------------

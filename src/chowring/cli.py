@@ -35,7 +35,7 @@ from .koszul import verify_injection
 from .linalg import bareiss_det
 from .matroid import (MatroidError, Matroid, boolean, flat_str, graphic,
                       mask_of, matroid_from_bases, matroid_from_flats,
-                      uniform)
+                      members, uniform)
 from .perm import (GroupError, group_from_generators, matroid_automorphisms,
                    perm_mask, perm_str)
 from .verify import run_battery
@@ -258,8 +258,21 @@ def _load_omega(args, ring, group):
     try:
         return lefschetz_omega(ring, coefficient_rule=lambda s: table.get(s, 0),
                                group=group)
-    except (NotSubmodular, NotGroupFixed) as exc:
-        raise UsageError(f"--omega rule: {exc}") from exc
+    except NotSubmodular as exc:
+        a, b = exc.witness
+        raise UsageError(f"--omega rule: submodularity fails at "
+                         f"A={_set_str(a)}, B={_set_str(b)}") from exc
+    except NotGroupFixed as exc:
+        g, f = exc.witness
+        raise UsageError(f"--omega rule is not fixed by the group: generator "
+                         f"{perm_str(g)} maps {_set_str(f)} to "
+                         f"{_set_str(perm_mask(g, f))}, whose coefficient "
+                         f"differs") from exc
+
+
+def _set_str(mask: int) -> str:
+    """A subset bitmask as the 1-based set an --omega file names."""
+    return "{" + ",".join(str(e + 1) for e in members(mask)) + "}"
 
 
 def cmd_scd(args) -> int:

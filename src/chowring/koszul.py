@@ -6,15 +6,22 @@ multiplication, so injectivity is structural.
 
 The degree-(1,2) case map  (FY1 x FY2) u (FY2 x FY1) -> (FY1)^3 u FY3  is
 dispatch over a rule table shipped as data (koszul_3x3_rules.txt) so the
-transcription stays reviewable. Guards only mention ranks, coranks and
-comparability, which automorphisms preserve, so equivariance is structural;
-totality and injectivity are checked exhaustively per matroid.
+transcription stays reviewable. `parse_rules` compiles the table once: each
+guard becomes a tuple (kind, letters, op, bound), the letter conventions of
+the file (x < y < z, w incomparable) become relation guards of the same kind,
+and rules are grouped by source shape (side, and whether each factor is E and
+its exponent), so a source is tried only against the rules of its shape.
+Guards only mention ranks, coranks and comparability, which automorphisms
+preserve, so equivariance is structural; totality and injectivity are checked
+exhaustively per matroid.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .chow import ChowRing, mono_degree, mono_mul
@@ -80,11 +87,27 @@ def verify_2x2(ring: ChowRing, group, j: int, k: int) -> dict:
 # -- the (1,2)/(2,1) case table ------------------------------------------------
 
 _GUARD_RE = re.compile(
-    r"^(?:always|r>=(\d+)"
-    r"|rk\((\w)\)(=|>=|!=)(\d+)"
-    r"|cork\((\w)\)(=|>=)(\d+)"
-    r"|d\((\w),(\w)\)(=|>=)(\d+)"
-    r"|u([<>~])(\w))$")
+    r"(r)(>=)(\d+)|(rk)\((\w)\)(=|>=|!=)(\d+)|(cork)\((\w)\)(=|>=)(\d+)"
+    r"|(d)\((\w),(\w)\)(=|>=)(\d+)|(\w)([<>~])(\w)")
+
+
+def _relation(a: int, b: int) -> str:
+    """How flat a sits against flat b: "=", "<", ">" or "~" (incomparable)."""
+    if a == b:
+        return "="
+    meet = a & b
+    return "<" if meet == a else ">" if meet == b else "~"
+
+
+# guard kind -> its value, given the ring and the var indices of its letters
+_GUARD_VALUE = {
+    "r": lambda ring: ring.r,
+    "rk": lambda ring, s: ring.vrank[s],
+    "cork": lambda ring, s: ring.r + 1 - ring.vrank[s],
+    "d": lambda ring, s, t: ring.vrank[t] - ring.vrank[s],
+    "rel": lambda ring, s, t: _relation(ring.vars[s], ring.vars[t]),
+}
+_COMPARE = {"=": operator.eq, ">=": operator.ge, "!=": operator.ne}
 
 
 @dataclass(frozen=True)
@@ -92,15 +115,17 @@ class CaseRule:
     side: str                 # "A" or "B"
     comp1: tuple              # ((letter, exp), ...)
     comp2: tuple
-    guards: tuple[str, ...]
+    guards: tuple             # ((kind, letters, op, bound), ...)
     target_kind: str          # "triple" or "monomial"
     target: tuple             # letters
     line: str
 
     @property
-    def letters(self):
-        return tuple(dict.fromkeys(
-            [s for s, _ in self.comp1] + [s for s, _ in self.comp2]))
+    def shape(self):
+        """The side plus (is it E, exponent) for each factor of each
+        component: the part of a source that a rule fixes by itself."""
+        return (self.side,) + tuple(tuple((sym == "E", exp) for sym, exp in comp)
+                                    for comp in (self.comp1, self.comp2))
 
 
 def _parse_component(text):
@@ -114,6 +139,27 @@ def _parse_component(text):
     return tuple(out)
 
 
+def _parse_guard(text, raw):
+    m = _GUARD_RE.fullmatch(text)
+    if m is None:
+        raise KoszulError(f"bad guard {text!r} in {raw!r}")
+    parts = [p for p in m.groups() if p is not None]
+    if parts[1] in "<>~":
+        return ("rel", (parts[0], parts[2]), "=", parts[1])
+    kind, *letters, op, bound = parts
+    return (kind, tuple(letters), op, int(bound))
+
+
+def _naming_guards(letters):
+    """The letter conventions of the data file as relation guards: x, y, z
+    strictly nested in that order, w incomparable to each of them."""
+    chain = [sym for sym in "xyz" if sym in letters]
+    guards = [("rel", pair, "=", "<") for pair in zip(chain, chain[1:])]
+    if "w" in letters:
+        guards += [("rel", ("w", sym), "=", "~") for sym in chain]
+    return guards
+
+
 def parse_rules(text: str) -> tuple[CaseRule, ...]:
     rules = []
     for raw in text.splitlines():
@@ -121,39 +167,37 @@ def parse_rules(text: str) -> tuple[CaseRule, ...]:
         if not line:
             continue
         side, c1, c2, guards, target = [part.strip() for part in line.split("|")]
+        comp1, comp2 = _parse_component(c1), _parse_component(c2)
+        letters = {sym for sym, _ in comp1 + comp2}
+        guard_list = _naming_guards(letters)
         # split on commas that separate guards, not the one inside d(s,t)
-        guard_list = tuple(g.strip()
-                           for g in re.split(r",(?![^()]*\))", guards))
-        for g in guard_list:
-            if not _GUARD_RE.match(g):
-                raise KoszulError(f"bad guard {g!r} in {raw!r}")
-        if target.startswith("("):
-            kind = "triple"
-            letters = tuple(s.strip() for s in target.strip("()").split(","))
-        elif target.startswith("["):
-            kind = "monomial"
-            letters = tuple(target.strip("[]").split())
-        else:
+        for g in re.split(r"\s*,(?![^()]*\))\s*", guards):
+            if g != "always":
+                guard_list.append(_parse_guard(g, raw))
+        if any(not set(g[1]) <= letters for g in guard_list):
+            raise KoszulError(f"guard on an unbound letter in {raw!r}")
+        kind = {"()": "triple", "[]": "monomial"}.get(target[:1] + target[-1:])
+        symbols = tuple(target[1:-1].replace(",", " ").split())
+        if kind is None or len(symbols) != 3 or not set(symbols) <= letters | {"E"}:
             raise KoszulError(f"bad target in {raw!r}")
-        rules.append(CaseRule(side, _parse_component(c1), _parse_component(c2),
-                              guard_list, kind, letters, line))
+        rules.append(CaseRule(side, comp1, comp2, tuple(guard_list), kind,
+                              symbols, line))
     return tuple(rules)
 
 
-def load_rules() -> tuple[CaseRule, ...]:
+@cache
+def rules_3x3() -> tuple[CaseRule, ...]:
     text = resources.files("chowring.data").joinpath(
         "koszul_3x3_rules.txt").read_text()
     return parse_rules(text)
 
 
-_RULES = None
-
-
-def rules_3x3() -> tuple[CaseRule, ...]:
-    global _RULES
-    if _RULES is None:
-        _RULES = load_rules()
-    return _RULES
+@cache
+def _rules_by_shape() -> dict:
+    by_shape: dict = {}
+    for rule in rules_3x3():
+        by_shape.setdefault(rule.shape, []).append(rule)
+    return by_shape
 
 
 class CaseMap:
@@ -161,107 +205,36 @@ class CaseMap:
 
     def __init__(self, ring: ChowRing):
         self.ring = ring
-        self.rules = rules_3x3()
 
     def _bind(self, rule: CaseRule, comp1, comp2):
-        """Letter -> var index binding, or None if the shapes do not match."""
-        ring = self.ring
+        """Letter -> var index binding, or None if a letter would name two
+        flats or two letters one flat. The source has the rule's shape."""
         binding: dict = {}
         for pattern, mono in ((rule.comp1, comp1), (rule.comp2, comp2)):
-            if len(pattern) != len(mono):
-                return None
-            for (sym, exp), (vi, e) in zip(pattern, mono):
-                if exp != e:
+            for (sym, _), (vi, _) in zip(pattern, mono):
+                if binding.setdefault(sym, vi) != vi:
                     return None
-                is_top = ring.vars[vi] == ring.matroid.full
-                if (sym == "E") != is_top:
-                    return None
-                if sym in binding:
-                    if binding[sym] != vi:
-                        return None
-                else:
-                    binding[sym] = vi
-        # distinct letters bind distinct flats
         if len(set(binding.values())) != len(binding):
             return None
         return binding
 
-    def _relations_ok(self, rule: CaseRule, binding) -> bool:
-        ring = self.ring
-        chain = [sym for sym in "xyz" if sym in binding]
-        for a, b in zip(chain, chain[1:]):
-            fa, fb = ring.vars[binding[a]], ring.vars[binding[b]]
-            if fa == fb or fa & fb != fa:
-                return False
-        if "w" in binding:
-            fw = ring.vars[binding["w"]]
-            for sym in chain:
-                fs = ring.vars[binding[sym]]
-                if fw & fs == fw or fs & fw == fs:
-                    return False
-        return True
-
     def _guards_ok(self, rule: CaseRule, binding) -> bool:
         ring = self.ring
-        rank_top = ring.r + 1
-
-        def rk(sym):
-            return ring.vrank[binding[sym]]
-
-        for g in rule.guards:
-            if g == "always":
-                continue
-            m = _GUARD_RE.match(g)
-            if m.group(1):  # r>=k
-                if not ring.r >= int(m.group(1)):
-                    return False
-            elif m.group(2):  # rk
-                val, op, bound = rk(m.group(2)), m.group(3), int(m.group(4))
-                if op == "=" and val != bound:
-                    return False
-                if op == ">=" and val < bound:
-                    return False
-                if op == "!=" and val == bound:
-                    return False
-            elif m.group(5):  # cork
-                val, op, bound = rank_top - rk(m.group(5)), m.group(6), int(m.group(7))
-                if op == "=" and val != bound:
-                    return False
-                if op == ">=" and val < bound:
-                    return False
-            elif m.group(8):  # d(s,t)
-                val = rk(m.group(9)) - rk(m.group(8))
-                op, bound = m.group(10), int(m.group(11))
-                if op == "=" and val != bound:
-                    return False
-                if op == ">=" and val < bound:
-                    return False
-            else:  # u relation
-                op, other = m.group(12), m.group(13)
-                fu = self.ring.vars[binding["u"]]
-                fo = self.ring.vars[binding[other]]
-                if op == "<" and not (fu != fo and fu & fo == fu):
-                    return False
-                if op == ">" and not (fu != fo and fo & fu == fo):
-                    return False
-                if op == "~" and (fu & fo == fu or fo & fu == fo):
-                    return False
-        return True
+        return all(_COMPARE[op](_GUARD_VALUE[kind](
+                       ring, *[binding[sym] for sym in letters]), bound)
+                   for kind, letters, op, bound in rule.guards)
 
     def matches(self, side: str, comp1, comp2):
-        """All (rule, binding) pairs matching the input (should be exactly 1)."""
+        """All (rule, binding) pairs matching the input (should be exactly 1),
+        in table order; only the rules of the source's shape are tried."""
+        top = self.ring.top_var
+        shape = (side,) + tuple(tuple((vi == top, e) for vi, e in comp)
+                                for comp in (comp1, comp2))
         out = []
-        for rule in self.rules:
-            if rule.side != side:
-                continue
+        for rule in _rules_by_shape().get(shape, ()):
             binding = self._bind(rule, comp1, comp2)
-            if binding is None:
-                continue
-            if not self._relations_ok(rule, binding):
-                continue
-            if not self._guards_ok(rule, binding):
-                continue
-            out.append((rule, binding))
+            if binding is not None and self._guards_ok(rule, binding):
+                out.append((rule, binding))
         return out
 
     def apply(self, side: str, comp1, comp2):
@@ -276,7 +249,7 @@ class CaseMap:
 
     def image(self, rule: CaseRule, binding):
         """The rule's target under a binding: ("T", three degree-1
-        monomials) or ("M", one degree-3 monomial); unbound letters are E."""
+        monomials) or ("M", one degree-3 monomial); E is the top flat."""
         top = self.ring.top_var
         if rule.target_kind == "triple":
             return ("T", tuple(

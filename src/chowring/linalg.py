@@ -231,12 +231,12 @@ def int_positive_definite(matrix) -> tuple[bool, int | None]:
     return True, None
 
 
-def sparse_int_rank(rows, col_priority) -> int:
+def sparse_int_rank(rows) -> int:
     """Rank over Q of sparse integer rows ({col: coeff} dicts).
 
     Incremental elimination: each incoming row is reduced against the pivot
-    rows found so far; its surviving leading column (highest priority first)
-    becomes a new pivot. Rows are kept as primitive integer vectors.
+    rows found so far; its surviving leading column (the smallest column
+    index) becomes a new pivot. Rows are kept as primitive integer vectors.
     """
     pivots: dict = {}  # col -> primitive row dict
 
@@ -252,7 +252,7 @@ def sparse_int_rank(rows, col_priority) -> int:
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
         while row:
-            lead = max(row, key=col_priority)
+            lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 g = content(row)

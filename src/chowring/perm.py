@@ -163,8 +163,6 @@ class PermGroup:
                 idx[g] = i
         return idx
 
-    # -- actions on a matroid's flats --------------------------------------
-
 
 def group_from_generators(n: int, gens, cap=GROUP_CAP) -> PermGroup:
     gens = [tuple(g) for g in gens]

@@ -399,7 +399,8 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, deep=False,
                   lambda: check_gamma(ring, group), None))
     if is_b3:
         items.append(("C9", "boolean3-burnside-gamma",
-                      lambda: check_boolean3_burnside_gamma(ring, group), None))
+                      lambda: check_boolean3_burnside_gamma(ring, group, ctx),
+                      None))
     items.append(("C10", "pf-evidence",
                   lambda: check_pf_evidence(ring, group), None))
     return items
@@ -416,11 +417,11 @@ def run_battery(m: Matroid, group: PermGroup | None = None, deep=False,
     return results
 
 
-def check_boolean3_burnside_gamma(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:
+def check_boolean3_burnside_gamma(ring: ChowRing, group: PermGroup,
+                                  ctx=None) -> tuple[bool, dict]:
     """The Burnside-level gamma fails on the rank-3 Boolean matroid: gamma_1
     is the defining 3-set minus a point, not a genuine difference."""
-    from .burnside import BurnsideContext
-    ctx = BurnsideContext(ring, group)
+    ctx = ctx or BurnsideContext(ring, group)
     seq = [ctx.decompose_degrees((k,)) for k in range(ring.r + 1)]
     gammas = gamma_expansion(seq)
     g1 = gammas[1]

@@ -87,6 +87,24 @@ def test_bad_group_and_omega_files_exit_2(tmp_path, capsys, flag, content,
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("content, message", [
+    # {2} and {3} are the 0-based bitmasks 2 and 4
+    ([{"set": [1], "c": 1}],
+     "error: --omega rule: submodularity fails at A={2}, B={3}\n"),
+    # strictly submodular, but {2,3} has another coefficient than {1,3}
+    ([{"set": s, "c": 2} for s in ([1], [2], [3], [1, 2], [1, 3])]
+     + [{"set": [2, 3], "c": 3}],
+     "error: --omega rule is not fixed by the group: generator (1 2) maps "
+     "{1,3} to {2,3}, whose coefficient differs\n"),
+])
+def test_omega_rule_errors_name_sets(tmp_path, capsys, content, message):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(content))
+    code = main(["chow", "lefschetz", "boolean(3)", "--omega", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
 def test_omega_file(tmp_path, capsys):
     path = tmp_path / "omega.json"
     path.write_text(json.dumps([{"set": s, "c": 2} for s in

@@ -2,8 +2,8 @@ import pytest
 
 from chowring.chow import chow_ring, mono_mul
 from chowring.koszul import (
-    DegreeMismatch, UnmatchedCase, audit_rule_shapes, injection_2x2,
-    injection_3x3, rules_3x3, verify_injection,
+    CaseMap, DegreeMismatch, KoszulError, UnmatchedCase, audit_rule_shapes,
+    injection_2x2, injection_3x3, parse_rules, rules_3x3, verify_injection,
 )
 from chowring.matroid import boolean, graphic, mask_of, uniform
 from chowring.perm import matroid_automorphisms
@@ -13,6 +13,82 @@ def test_rules_parse_and_are_two_sided():
     rules = rules_3x3()
     assert len(rules) > 40
     assert {r.side for r in rules} == {"A", "B"}
+
+
+def test_parse_rules_compiles_guards():
+    (rule,) = parse_rules("A | x | y z | d(x,y)=1, r>=3 | (x, y, z)")
+    assert rule.guards == (("rel", ("x", "y"), "=", "<"),
+                           ("rel", ("y", "z"), "=", "<"),
+                           ("d", ("x", "y"), "=", 1), ("r", (), ">=", 3))
+    assert rule.shape == ("A", ((False, 1),), ((False, 1), (False, 1)))
+    (rule,) = parse_rules("B | x E | w | always | (E, x, w)")
+    assert rule.guards == (("rel", ("w", "x"), "=", "~"),)
+    assert rule.shape == ("B", ((False, 1), (True, 1)), ((False, 1),))
+
+
+@pytest.mark.parametrize("line", [
+    "A | x | y z | rk(x)<2 | (x, y, z)",
+    "A | x | y z | cork(x)!=2 | (x, y, z)",
+    "A | x | y z | d(x)=1 | (x, y, z)",
+    "A | x | y z | rk(q)=2 | (x, y, z)",    # q names no factor
+    "A | x | y z | always | x y z",
+    "A | x | y z | always | (x, y)",
+    "A | x | y z | always | (x, y, q)",
+])
+def test_parse_rules_rejects_bad_guards_and_targets(line):
+    with pytest.raises(KoszulError):
+        parse_rules(line)
+
+
+# one rule per guard form of the data file's header, with a binding (letter
+# -> 0-based flat of boolean(5), where rk(E) = 5) that passes every guard of
+# the rule and one that fails exactly the guard under test
+@pytest.mark.parametrize("line, accept, reject", [
+    ("A | x | x y | rk(x)=2 | (x, y, x)",
+     {"x": [0, 1], "y": [0, 1, 2]}, {"x": [0], "y": [0, 1, 2]}),
+    ("A | x | x y | rk(x)>=3 | [x x y]",
+     {"x": [0, 1, 2], "y": [0, 1, 2, 3]}, {"x": [0, 1], "y": [0, 1, 2, 3]}),
+    ("A | E | x E | rk(x)!=3 | (E, x, E)", {"x": [0, 1]}, {"x": [0, 1, 2]}),
+    ("A | E | x y | cork(y)=1 | (E, x, y)",
+     {"x": [0], "y": [0, 1, 2, 3]}, {"x": [0], "y": [0, 1, 2]}),
+    ("A | E | x y | cork(y)>=2 | [x y E]",
+     {"x": [0], "y": [0, 1, 2]}, {"x": [0], "y": [0, 1, 2, 3]}),
+    ("A | x | y z | d(x,y)=1 | (x, y, z)",
+     {"x": [0], "y": [0, 1], "z": [0, 1, 2]},
+     {"x": [0], "y": [0, 1, 2], "z": [0, 1, 2, 3]}),
+    ("A | x | y z | d(x,y)>=2 | [x y z]",
+     {"x": [0], "y": [0, 1, 2], "z": [0, 1, 2, 3]},
+     {"x": [0], "y": [0, 1], "z": [0, 1, 2]}),
+    ("A | u | x y | u<y | (u, x, y)",
+     {"u": [1], "x": [0], "y": [0, 1, 2]}, {"u": [3], "x": [0], "y": [0, 1, 2]}),
+    ("A | u | x y | u>x | (u, x, y)",
+     {"u": [0, 3], "x": [0], "y": [0, 1]}, {"u": [3], "x": [0], "y": [0, 1]}),
+    ("A | u | x y | u~x | (u, x, y)",
+     {"u": [1], "x": [0], "y": [0, 1]}, {"u": [0, 1], "x": [0], "y": [0, 1, 2]}),
+    # always: only the letter conventions, x < y < z and w incomparable
+    ("A | x | y z | always | (x, y, z)",
+     {"x": [0], "y": [0, 1], "z": [0, 1, 2]},
+     {"x": [0], "y": [1, 2], "z": [0, 1, 2]}),
+    ("A | w | x y | always | (w, x, y)",
+     {"w": [3], "x": [0], "y": [0, 1]}, {"w": [0, 1, 2], "x": [0], "y": [0, 1]}),
+])
+def test_guard_forms_accept_and_reject(line, accept, reject):
+    ring = chow_ring(boolean(5))
+    cmap = CaseMap(ring)
+    (rule,) = parse_rules(line)
+
+    def binding(sets):
+        return {sym: ring.var_index[mask_of(elems)]
+                for sym, elems in sets.items()}
+
+    assert cmap._guards_ok(rule, binding(accept))
+    assert not cmap._guards_ok(rule, binding(reject))
+
+
+def test_rank_guard_reads_the_ring():
+    (rule,) = parse_rules("A | E | E^2 | r>=4 | [E E E]")
+    assert CaseMap(chow_ring(boolean(5)))._guards_ok(rule, {})
+    assert not CaseMap(chow_ring(boolean(4)))._guards_ok(rule, {})
 
 
 def test_2x2_split_example():

@@ -49,12 +49,12 @@ def test_positive_definite():
 def test_sparse_rank_matches_dense():
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}, {0: 2, 1: 2}]
     dense = [[1, 1, 0], [0, 1, 1], [1, 0, -1], [2, 2, 0]]
-    assert sparse_int_rank(rows, col_priority=lambda c: -c) == frac_rank(dense)
+    assert sparse_int_rank(rows) == frac_rank(dense)
 
 
 def test_sparse_rank_content_reduction():
     rows = [{0: 6, 1: 4}, {0: 3, 1: 2}, {1: 5}]
-    assert sparse_int_rank(rows, col_priority=lambda c: -c) == 2
+    assert sparse_int_rank(rows) == 2
 
 
 def _product(a, b):
