@@ -8,9 +8,16 @@ Two table backends:
     cyclotomic-integer values via discrete Fourier inversion on power maps.
     p is about 4|G|, so the eigenvalues are found by evaluating the
     characteristic polynomial at every element of GF(p); that costs about as
-    much as the class multiplication coefficients.
+    much as the class multiplication coefficients. The characteristic
+    polynomial comes from Faddeev-LeVerrier mod p (p exceeds the number of
+    classes, so the traces can be divided by 1..m). The power maps are read
+    off by walking g, g^2, ... once for each class representative g, only
+    when Dixon's method runs.
 
-Every table is audited against both orthogonality relations before use.
+All arithmetic is on integers and cyclotomic integers; a rational appears
+only as the value of an inner product. Sturm sequences use sign-preserving
+integer pseudo-remainders. Every table is audited against both
+orthogonality relations before use.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 
 from .perm import PermGroup, compose, cycle_type, identity, inverse
 
@@ -73,8 +80,7 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 class Cyc:
-    """Element of Z[zeta_e] (rational coefficients allowed), reduced mod the
-    e-th cyclotomic polynomial."""
+    """Element of Z[zeta_e], reduced mod the e-th cyclotomic polynomial."""
 
     __slots__ = ("e", "coeffs")
 
@@ -111,7 +117,7 @@ class Cyc:
         return self._lift(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Cyc(self.e, [a * other for a in self.coeffs])
         other = self._lift(other)
         out = [0] * (2 * len(self.coeffs))
@@ -128,7 +134,7 @@ class Cyc:
         return Cyc(self.e, [-a for a in self.coeffs])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.is_rational() and self.coeffs[0] == other
         return isinstance(other, Cyc) and self.e == other.e and self.coeffs == other.coeffs
 
@@ -139,7 +145,7 @@ class Cyc:
         return any(self.coeffs)
 
     def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Cyc(self.e, [other])
         if isinstance(other, Cyc):
             if other.e != self.e:
@@ -178,41 +184,16 @@ class ClassData:
     reps: tuple            # class representatives
     sizes: tuple[int, ...]
     inverse_map: tuple[int, ...]  # index of the class of g^-1
-    power_maps: dict       # t -> tuple of class indices of g^t
 
 
 def class_data(group: PermGroup) -> ClassData:
+    """Classes with minimal, sorted representatives: the identity is class 0."""
     classes = group.conjugacy_classes()
     reps = tuple(c[0] for c in classes)
     sizes = tuple(len(c[1]) for c in classes)
     index = group.class_index_of()
     inv = tuple(index[inverse(g)] for g in reps)
-    orders = [_perm_order(g) for g in reps]
-    e = 1
-    for o in orders:
-        e = e * o // gcd(e, o)
-    powers = {}
-    for t in range(e):
-        powers[t] = tuple(index[_perm_pow(g, t)] for g in reps)
-    return ClassData(group, reps, sizes, inv, powers)
-
-
-def _perm_order(g) -> int:
-    o = 1
-    for c in cycle_type(g):
-        o = o * c // gcd(o, c)
-    return o
-
-
-def _perm_pow(g, t):
-    out = identity(len(g))
-    base = g
-    while t:
-        if t & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        t >>= 1
-    return out
+    return ClassData(group, reps, sizes, inv)
 
 
 class ClassFunction:
@@ -261,15 +242,7 @@ class ClassFunction:
         return any(bool(v) for v in self.values)
 
     def degree(self):
-        ident_idx = self.values[self._identity_index()]
-        return as_rational(ident_idx)
-
-    def _identity_index(self):
-        ident = identity(self.data.group.n)
-        for i, rep in enumerate(self.data.reps):
-            if rep == ident:
-                return i
-        raise CharacterError("no identity class")
+        return as_rational(self.values[0])
 
     def at_inverse(self, i: int):
         return self.values[self.data.inverse_map[i]]
@@ -423,10 +396,18 @@ def _dixon_table(group: PermGroup, data: ClassData):
             for u in classes[i]:
                 j = index[compose(inverse(u), gk)]
                 a[i][j][k] += 1
-    orders = [_perm_order(g) for g in data.reps]
-    e = 1
-    for o in orders:
-        e = e * o // gcd(e, o)
+    # power maps: powers[i][t] is the class of g_i^t, for t below the order
+    ident = identity(group.n)
+    powers = []
+    for g in data.reps:
+        walk, h = [], ident
+        while True:
+            walk.append(index[h])
+            h = compose(h, g)
+            if h == ident:
+                break
+        powers.append(walk)
+    e = lcm(*map(len, powers))
     p = _find_prime(e, 4 * group.order + 1)
     # row j, column k: omega_i omega_j = sum_k a[i][j][k] omega_k
     mats = []
@@ -457,7 +438,6 @@ def _dixon_table(group: PermGroup, data: ClassData):
         raise TableFailure("no splitting combination found")
 
     z = _find_element_of_order(e, p)
-    ident_idx = index[identity(group.n)]
     irreducibles = []
     for v in spaces:
         # eigenvalues omega_i = |C_i| chi(g_i) / chi(1)
@@ -478,14 +458,14 @@ def _dixon_table(group: PermGroup, data: ClassData):
                    for i in range(m)]
         values = []
         for i in range(m):
-            o = orders[i]
+            o = len(powers[i])
             zo = pow(z, e // o, p)
             mults = []
             inv_o = pow(o, p - 2, p)
             for j in range(o):
                 s = 0
                 for t_exp in range(o):
-                    chi_t = chi_mod[data.power_maps[t_exp % e][i]]
+                    chi_t = chi_mod[powers[i][t_exp]]
                     s = (s + chi_t * pow(zo, (-j * t_exp) % o, p)) % p
                 mults.append(s * inv_o % p)
             coeffs = [0] * e
@@ -496,8 +476,7 @@ def _dixon_table(group: PermGroup, data: ClassData):
             val = Cyc(e, coeffs)
             values.append(val.rational() if val.is_rational() else val)
         irreducibles.append(ClassFunction(data, values))
-    irreducibles.sort(key=lambda chi: (as_rational(chi.values[ident_idx]),
-                                       _values_key(chi.values)))
+    irreducibles.sort(key=lambda chi: (chi.degree(), _values_key(chi.values)))
     return irreducibles, tuple(f"chi{i}" for i in range(m))
 
 
@@ -505,91 +484,36 @@ def _values_key(values):
     out = []
     for v in values:
         if isinstance(v, Cyc):
-            out.append(tuple(-c if isinstance(c, int) else -c for c in v.coeffs))
+            out.append(tuple(-c for c in v.coeffs))
         else:
             out.append((-v,))
     return tuple(out)
 
 
 def _charpoly_mod(mat, p):
-    """Characteristic polynomial det(A - xI) mod p by Lagrange interpolation
-    at n+1 points (p > n, so the points are distinct)."""
+    """Characteristic polynomial det(xI - A) mod p, constant term first, by
+    Faddeev-LeVerrier: M_k = A M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(A M_k) / k, which needs p > n."""
     n = len(mat)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = [row[:] for row in mat]
-        for d in range(n):
-            shifted[d][d] = (shifted[d][d] - x) % p
-        ys.append(_det_mod(shifted, p))
-    # Lagrange interpolation of det(A - xI)
-    poly = [0] * (n + 1)
-    for i, xi in enumerate(xs):
-        num = [1]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if i != j:
-                num = _poly_mul_plain(num, [(-xj) % p, 1], p)
-                denom = denom * (xi - xj) % p
-        f = ys[i] * pow(denom, p - 2, p) % p
-        for d_idx, cf in enumerate(num):
-            poly[d_idx] = (poly[d_idx] + f * cf) % p
+    poly = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        c = poly[n - k + 1]
+        m = [[(sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)) % p
+              for j, col in enumerate(cols)] for i, row in enumerate(mat)]
+        trace = sum(mat[i][j] * m[j][i] for i in range(n) for j in range(n))
+        poly[n - k] = -trace * pow(k, p - 2, p) % p
     return poly
 
 
-def _poly_mul_plain(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _det_mod(mat, p):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], p - 2, p)
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    return det % p
-
-
 def _find_element_of_order(e: int, p: int) -> int:
-    if e == 1:
-        return 1
+    """An element of order exactly e in GF(p)*, for e dividing p - 1."""
     for g in range(2, p):
         z = pow(g, (p - 1) // e, p)
-        if z != 1 and all(pow(z, (e // q), p) != 1 for q in _prime_factors(e)):
+        if all(pow(z, d, p) != 1 for d in range(1, e) if e % d == 0):
             return z
     raise TableFailure(f"no element of order {e} mod {p}")
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 # -- tables ---------------------------------------------------------------------
@@ -759,73 +683,46 @@ def window_minors(seq, size):
 
 
 def sturm_real_rooted(seq) -> bool:
-    """True iff sum seq[i] t^i has only real roots (Sturm count on the
-    squarefree part)."""
-    poly = [Fraction(c) for c in seq]
+    """True iff sum seq[i] t^i (integer coefficients) has only real roots.
+
+    The Sturm chain of p and p' ends at a multiple of gcd(p, p'), so it
+    counts the distinct real roots, and p has deg p - deg gcd distinct roots
+    in all. The chain is kept integral: each remainder is a positive multiple
+    of the true one, divided by its content."""
+    poly = list(seq)
     while poly and poly[-1] == 0:
         poly.pop()
     if len(poly) <= 1:
         return True
-    deriv = [i * c for i, c in enumerate(poly)][1:]
-    sqfree = _poly_div_frac(poly, _poly_gcd_frac(poly, deriv))
-    chain = [sqfree, [i * c for i, c in enumerate(sqfree)][1:]]
-    while len(chain[-1]) > 1:
-        rem = _poly_mod_frac(chain[-2], chain[-1])
+    chain = [poly, [i * c for i, c in enumerate(poly)][1:]]
+    while True:
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
-    if len(chain[-1]) == 1 and chain[-1][0] == 0:
-        chain.pop()
+        content = gcd(*rem)
+        chain.append([-c // content for c in rem])
 
     def variations(signs):
-        signs = [s for s in signs if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    def sign_at_inf(p, positive):
-        lead = p[-1]
-        if positive:
-            return 1 if lead > 0 else -1
-        return (1 if lead > 0 else -1) * (1 if (len(p) - 1) % 2 == 0 else -1)
-
-    neg = variations([sign_at_inf(p, False) for p in chain])
-    pos = variations([sign_at_inf(p, True) for p in chain])
-    return neg - pos == len(sqfree) - 1
+    pos = [1 if f[-1] > 0 else -1 for f in chain]
+    neg = [s if len(f) % 2 else -s for s, f in zip(pos, chain)]
+    return variations(neg) - variations(pos) == len(poly) - len(chain[-1])
 
 
-def _poly_gcd_frac(a, b):
-    a, b = [x for x in a], [x for x in b]
-    while any(b):
-        a, b = b, _poly_mod_frac(a, b)
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def _poly_mod_frac(a, b):
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / b[-1]
+def _pseudo_rem(a, b):
+    """|lc(b)|^k * a mod b for some k >= 0, trailing zeros stripped."""
+    scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(a) >= len(b):
+        f = sign * a[-1]
         shift = len(a) - len(b)
+        a = [scale * c for c in a]
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
     return a
-
-
-def _poly_div_frac(a, b):
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = a[:]
-    for i in range(len(out) - 1, -1, -1):
-        c = a[len(b) - 1 + i]
-        q = c / b[-1]
-        out[i] = q
-        for j, d in enumerate(b):
-            a[i + j] -= q * d
-    return out
 
 
 def numeric_pf_check(seq, level) -> dict:

@@ -19,7 +19,9 @@ input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -27,9 +29,8 @@ from . import corpus as corpus_mod
 from . import scd
 from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
                        young_stabilizer_audit)
-from .characters import (character_table, gamma_expansion, is_genuine,
-                         koszul_minor, numeric_pf_check, perm_character,
-                         toeplitz_minor)
+from .characters import (gamma_expansion, is_genuine, koszul_minor,
+                         numeric_pf_check, toeplitz_minor)
 from .chow import NotGroupFixed, NotSubmodular, chow_ring, lefschetz_omega
 from .koszul import verify_injection
 from .linalg import bareiss_det
@@ -38,7 +39,7 @@ from .matroid import (MatroidError, Matroid, boolean, flat_str, graphic,
                       members, uniform)
 from .perm import (GroupError, group_from_generators, matroid_automorphisms,
                    perm_mask, perm_str)
-from .verify import run_battery
+from .verify import character_sequence, run_battery
 
 
 class UsageError(Exception):
@@ -149,11 +150,26 @@ def matroid_summary(m: Matroid, group=None) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def _reader_may_close():
+    """Write a report to stdout, and let its reader stop reading early: on
+    EPIPE, stdout is pointed at the null device, so neither this write nor
+    the flush at exit raises, and the command keeps its verdict code."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    _emit_text(report, indent=0)
+    with _reader_may_close():
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            _emit_text(report, indent=0)
 
 
 def _emit_text(obj, indent):
@@ -348,10 +364,8 @@ def cmd_char(args) -> int:
     m = load_matroid_document(args.doc)
     ring = chow_ring(m)
     group = load_group(args.group, m)
-    table = character_table(group)
+    table, seq = character_sequence(ring, group)
     data = table.data
-    seq = [perm_character(data, ring.fy_basis(k), lambda g, mo: ring.act(g, mo))
-           for k in range(ring.r + 1)]
     report = {"command": f"char {args.what}",
               "matroid": matroid_summary(m, group),
               "table_backend": table.backend}
@@ -442,13 +456,14 @@ def cmd_verify(args) -> int:
     if args.timings:
         report["elapsed"] = round(time.perf_counter() - t0, 3)
     if not args.json:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"[{status}] {r.battery:>3} {r.name}"
-            if not r.passed and r.known_gap:
-                line += f"  (known gap: {r.known_gap})"
-            print(line)
-        print("overall:", "PASS" if report["passed"] else "FAIL")
+        with _reader_may_close():
+            for r in results:
+                status = "PASS" if r.passed else "FAIL"
+                line = f"[{status}] {r.battery:>3} {r.name}"
+                if not r.passed and r.known_gap:
+                    line += f"  (known gap: {r.known_gap})"
+                print(line)
+            print("overall:", "PASS" if report["passed"] else "FAIL")
     else:
         emit(report, True)
     return 0 if report["passed"] else 1
@@ -467,6 +482,22 @@ def _add_common(parser, suppress=False):
                         **({"default": argparse.SUPPRESS} if suppress else {}))
 
 
+# Options of single subcommands; each is attached only where its handler
+# reads it.
+_OPTIONS = {
+    "--omega": {"default": "default"},
+    "--degree": {"type": int, "default": None},
+    "--quadruple": {"type": int, "nargs": 4, "default": None},
+    "--minor": {"default": "0,1,2:1,2,4",
+                "help": "Toeplitz minor as ROWS:COLS"},
+    "--composition": {"default": "1,1,1"},
+    "--level": {"default": "2"},
+    "--check-equivariance": {"action": "store_true"},
+    "--deep": {"action": "store_true",
+               "help": "include the large exact linear-algebra cases"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chowring",
@@ -475,69 +506,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_doc(p):
-        _add_common(p, suppress=True)
-        p.add_argument("doc", help="matroid document (JSON, path, or name)")
-        p.add_argument("--group", default="auto",
-                       help="'auto' or a JSON group file")
+    def add_group(name, help_text, func, commands):
+        psub = sub.add_parser(name, help=help_text).add_subparsers(
+            dest="what", required=True)
+        for what, *options in commands:
+            pc = psub.add_parser(what)
+            _add_common(pc, suppress=True)
+            pc.add_argument("doc", help="matroid document (JSON, path, or name)")
+            pc.add_argument("--group", default="auto",
+                            help="'auto' or a JSON group file")
+            for option in options:
+                pc.add_argument(option, **_OPTIONS[option])
+            pc.set_defaults(func=func)
 
-    p = sub.add_parser("matroid", help="lattice and symmetry summary")
-    psub = p.add_subparsers(dest="what", required=True)
-    pi = psub.add_parser("info")
-    add_doc(pi)
-    pi.set_defaults(func=cmd_matroid_info)
-
-    p = sub.add_parser("chow", help="graded ring computations")
-    psub = p.add_subparsers(dest="what", required=True)
-    for what in ("hilbert", "basis", "pairing", "lefschetz", "hodge-riemann"):
-        pc = psub.add_parser(what)
-        add_doc(pc)
-        pc.add_argument("--omega", default="default")
-        pc.add_argument("--degree", type=int, default=None)
-        pc.set_defaults(func=cmd_chow)
-
-    p = sub.add_parser("scd", help="symmetric chains and the degree maps")
-    psub = p.add_subparsers(dest="what", required=True)
-    for what in ("chains", "maps"):
-        pc = psub.add_parser(what)
-        add_doc(pc)
-        pc.add_argument("--check-equivariance", action="store_true")
-        pc.set_defaults(func=cmd_scd)
-
-    p = sub.add_parser("burnside", help="Burnside ring decompositions")
-    psub = p.add_subparsers(dest="what", required=True)
-    for what in ("decompose", "pf2", "young-audit"):
-        pc = psub.add_parser(what)
-        add_doc(pc)
-        pc.add_argument("--degree", type=int, default=None)
-        pc.add_argument("--quadruple", type=int, nargs=4, default=None)
-        pc.set_defaults(func=cmd_burnside)
-
-    p = sub.add_parser("char", help="character-level checks")
-    psub = p.add_subparsers(dest="what", required=True)
-    for what in ("table", "genuine", "gamma", "toeplitz", "pf"):
-        pc = psub.add_parser(what)
-        add_doc(pc)
-        pc.add_argument("--minor", default="0,1,2:1,2,4",
-                        help="Toeplitz minor as ROWS:COLS")
-        pc.add_argument("--composition", default="1,1,1")
-        pc.add_argument("--level", default="2")
-        pc.set_defaults(func=cmd_char)
-
-    p = sub.add_parser("koszul", help="explicit equivariant injections")
-    psub = p.add_subparsers(dest="what", required=True)
-    for what in ("check-2x2", "check-3x3"):
-        pc = psub.add_parser(what)
-        add_doc(pc)
-        pc.set_defaults(func=cmd_koszul)
-
-    p = sub.add_parser("verify", help="run the full battery")
-    psub = p.add_subparsers(dest="what", required=True)
-    pv = psub.add_parser("all")
-    add_doc(pv)
-    pv.add_argument("--deep", action="store_true",
-                    help="include the large exact linear-algebra cases")
-    pv.set_defaults(func=cmd_verify)
+    add_group("matroid", "lattice and symmetry summary", cmd_matroid_info,
+              [("info",)])
+    add_group("chow", "graded ring computations", cmd_chow,
+              [("hilbert",), ("basis", "--degree"), ("pairing",),
+               ("lefschetz", "--omega"), ("hodge-riemann", "--omega")])
+    add_group("scd", "symmetric chains and the degree maps", cmd_scd,
+              [("chains",), ("maps", "--check-equivariance")])
+    add_group("burnside", "Burnside ring decompositions", cmd_burnside,
+              [("decompose", "--degree"), ("pf2", "--quadruple"),
+               ("young-audit", "--quadruple")])
+    add_group("char", "character-level checks", cmd_char,
+              [("table",), ("genuine", "--minor"), ("gamma",),
+               ("toeplitz", "--composition"), ("pf", "--level")])
+    add_group("koszul", "explicit equivariant injections", cmd_koszul,
+              [("check-2x2",), ("check-3x3",)])
+    add_group("verify", "run the full battery", cmd_verify,
+              [("all", "--deep")])
     return parser
 
 

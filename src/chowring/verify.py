@@ -130,14 +130,11 @@ def check_paren_example() -> tuple[bool, dict]:
 def check_boolean4_character(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:
     """C3: the 3x3 PF Toeplitz minor of the rank-4 Boolean matroid is a
     genuine character but not a permutation character."""
-    table = character_table(group)
-    data = table.data
-    seq = [perm_character(data, ring.fy_basis(k), lambda g, m: ring.act(g, m))
-           for k in range(ring.r + 1)]
+    table, seq = character_sequence(ring, group)
     minor = toeplitz_minor(seq, (0, 1, 2), (1, 2, 4))
     genuine, mults = is_genuine(minor, table)
     four_cycle_value = None
-    for i, rep in enumerate(data.reps):
+    for i, rep in enumerate(table.data.reps):
         if cycle_type(rep) == (4,):
             four_cycle_value = minor.values[i]
     ok = (genuine and mults == (29, 124, 103, 172, 76)
@@ -290,6 +287,8 @@ def check_koszul(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool, dict
 
 
 def character_sequence(ring: ChowRing, group: PermGroup):
+    """The character table of the group and the permutation characters of
+    the graded pieces FY^0, ..., FY^r."""
     table = character_table(group)
     data = table.data
     return table, [perm_character(data, ring.fy_basis(k),

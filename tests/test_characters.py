@@ -188,6 +188,18 @@ def test_sturm_cases():
     assert not sturm_real_rooted([1, 1, 1])      # complex roots
     assert sturm_real_rooted([6, 11, 6, 1])      # (1+t)(2+t)(3+t)
     assert not sturm_real_rooted([1, 0, 0, 0, 1])
+    assert sturm_real_rooted([1, 3, 3, 1])       # (1+t)^3
+    assert sturm_real_rooted([4, 12, 13, 6, 1])  # (1+t)^2 (2+t)^2
+    assert not sturm_real_rooted([1, 4, 7, 7, 4, 1])  # (1+t)^3 (1+t+t^2)
+    assert sturm_real_rooted([0, 1, 1])          # t(1+t): a root at 0
+    assert sturm_real_rooted([0, 0, 2, 0])       # 2t^2, trailing zero
+    assert not sturm_real_rooted([0, 0, 1, 0, 1])  # t^2 (1+t^2)
+    assert sturm_real_rooted([1, 0, -1])         # 1-t^2: negative lead
+    assert sturm_real_rooted([-6, -11, -6, -1])
+    assert not sturm_real_rooted([-1, -1, -1])
+    assert not sturm_real_rooted([1, 0, 1])      # 1+t^2
+    assert not sturm_real_rooted([1, 2, 2, 1])   # (1+t)(1+t+t^2)
+    assert sturm_real_rooted([5]) and sturm_real_rooted([3, 7])
 
 
 def test_cyclotomic_polynomials():
@@ -214,6 +226,51 @@ def test_dixon_agrees_with_rim_hook_tables():
         dx_set = {tuple(v if isinstance(v, int) else v.rational()
                         for v in chi.values) for chi in dx_irr}
         assert mn_set == dx_set
+
+
+def test_charpoly_roots_are_the_eigenvalues():
+    import random
+    from chowring.characters import _charpoly_mod, _horner, _nullspace_mod
+    rng = random.Random(3)
+    p = 101
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if trial % 2:  # triangular, so the diagonal entries are roots
+            a = [[x if j >= i else 0 for j, x in enumerate(row)]
+                 for i, row in enumerate(a)]
+        poly = _charpoly_mod(a, p)
+        assert len(poly) == n + 1 and poly[-1] == 1
+        roots = {x for x in range(p) if _horner(poly, x, p) == 0}
+        eigen = {x for x in range(p) if _nullspace_mod(
+            [[(v - (x if i == j else 0)) % p for j, v in enumerate(row)]
+             for i, row in enumerate(a)], p)}
+        assert roots == eigen
+        if trial % 2:
+            assert {a[i][i] for i in range(n)} == roots
+
+
+@pytest.mark.parametrize("cycles, n, degrees", [
+    ([[(0, 1, 2, 3, 4)]], 5, [1, 1, 1, 1, 1]),
+    # the Frobenius group of order 21: x -> x + 1 and x -> 2x mod 7
+    ([[(0, 1, 2, 3, 4, 5, 6)], [(1, 2, 4), (3, 6, 5)]], 7, [1, 1, 1, 3, 3]),
+])
+def test_dixon_irrational_tables(cycles, n, degrees):
+    g = group_from_generators(n, [from_cycles(n, c) for c in cycles])
+    table = character_table(g)
+    assert table.backend == "dixon"
+    irr = table.irreducibles
+    assert sorted(chi.degree() for chi in irr) == degrees
+    assert any(isinstance(v, Cyc) and not v.is_rational()
+               for chi in irr for v in chi.values)
+    for i, chi in enumerate(irr):
+        for j, psi in enumerate(irr):
+            assert chi.inner(psi) == (1 if i == j else 0)
+    sizes = table.data.sizes
+    for a in range(len(sizes)):
+        for b in range(len(sizes)):
+            col = sum((chi.values[a] * chi.at_inverse(b) for chi in irr), 0)
+            assert col == (g.order // sizes[a] if a == b else 0)
 
 
 def test_dixon_alternating4():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from chowring.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -240,3 +246,62 @@ def test_group_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matroid"]["aut_order"] == 3
+
+
+# Each option is attached only to the subcommands whose handler reads it.
+_OPTION_ARGS = {
+    "--omega": ("default",), "--degree": ("1",),
+    "--quadruple": ("0", "1", "1", "2"), "--minor": ("0,1,2:1,2,4",),
+    "--composition": ("1,1,1",), "--level": ("2",),
+    "--check-equivariance": (),
+}
+_IGNORED_BEFORE = [
+    (group, what, option)
+    for group, whats, options in (
+        ("chow", ("hilbert", "basis", "pairing", "lefschetz", "hodge-riemann"),
+         ("--omega", "--degree")),
+        ("scd", ("chains", "maps"), ("--check-equivariance",)),
+        ("burnside", ("decompose", "pf2", "young-audit"),
+         ("--degree", "--quadruple")),
+        ("char", ("table", "genuine", "gamma", "toeplitz", "pf"),
+         ("--minor", "--composition", "--level")),
+    )
+    for what in whats for option in options
+    if (what, option) not in {
+        ("lefschetz", "--omega"), ("hodge-riemann", "--omega"),
+        ("basis", "--degree"), ("decompose", "--degree"),
+        ("pf2", "--quadruple"), ("young-audit", "--quadruple"),
+        ("genuine", "--minor"), ("toeplitz", "--composition"),
+        ("pf", "--level"), ("maps", "--check-equivariance")}
+]
+
+
+@pytest.mark.parametrize("group, what, option", _IGNORED_BEFORE)
+def test_option_where_unread_exits_2(capsys, group, what, option):
+    with pytest.raises(SystemExit) as exc:
+        main([group, what, "boolean(3)", option, *_OPTION_ARGS[option]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, verdict", [
+    (("--json", "chow", "basis", "boolean(4)", "--degree", "2"), 0),
+    (("verify", "all", "boolean(3)"), 1),
+])
+def test_closed_reader_keeps_the_verdict(unbuffered, argv, verdict):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chowring", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == verdict
