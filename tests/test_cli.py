@@ -248,14 +248,15 @@ def test_group_file(tmp_path, capsys):
     assert payload["matroid"]["aut_order"] == 3
 
 
-# Each option is attached only to the subcommands whose handler reads it.
+# An option is accepted only by the subcommands whose handler reads it;
+# _UNREAD lists every other subcommand of a group that has the option.
 _OPTION_ARGS = {
     "--omega": ("default",), "--degree": ("1",),
     "--quadruple": ("0", "1", "1", "2"), "--minor": ("0,1,2:1,2,4",),
     "--composition": ("1,1,1",), "--level": ("2",),
     "--check-equivariance": (),
 }
-_IGNORED_BEFORE = [
+_UNREAD = [
     (group, what, option)
     for group, whats, options in (
         ("chow", ("hilbert", "basis", "pairing", "lefschetz", "hodge-riemann"),
@@ -276,7 +277,7 @@ _IGNORED_BEFORE = [
 ]
 
 
-@pytest.mark.parametrize("group, what, option", _IGNORED_BEFORE)
+@pytest.mark.parametrize("group, what, option", _UNREAD)
 def test_option_where_unread_exits_2(capsys, group, what, option):
     with pytest.raises(SystemExit) as exc:
         main([group, what, "boolean(3)", option, *_OPTION_ARGS[option]])
