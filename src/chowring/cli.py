@@ -12,6 +12,12 @@ Matroid documents are JSON (inline, a file path, or a corpus shorthand like
 Groups default to the full automorphism group; pass --group FILE with
 {"degree": n, "generators": [[...1-based images...], ...]} to override.
 
+Every command runs in one frame, `main`: it loads the matroid and the group,
+starts the report with the command and the matroid summary, and calls the
+subcommand's handler `cmd_*(args, ring, group, report)`, which adds its
+fields and returns whether a check failed. `main` then emits the report, as
+JSON or through the renderer the parser attached to the subcommand.
+
 Exit codes: 0 all checks pass, 1 a verified mathematical failure, 2 usage or
 input error.
 """
@@ -164,15 +170,7 @@ def _reader_may_close():
         os.close(devnull)
 
 
-def emit(report: dict, as_json: bool) -> None:
-    with _reader_may_close():
-        if as_json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            _emit_text(report, indent=0)
-
-
-def _emit_text(obj, indent):
+def _emit_text(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, val in obj.items():
@@ -192,27 +190,37 @@ def _emit_text(obj, indent):
         print(f"{pad}{obj}")
 
 
-# -- subcommand handlers --------------------------------------------------------
+def _emit_checks(report: dict) -> None:
+    """The text form of a `verify all` report: one line per check."""
+    for c in report["checks"]:
+        status = "PASS" if c["passed"] else "FAIL"
+        line = f"[{status}] {c['battery']:>3} {c['name']}"
+        if not c["passed"] and "known_gap" in c:
+            line += f"  (known gap: {c['known_gap']})"
+        print(line)
+    print("overall:", "PASS" if report["passed"] else "FAIL")
 
-def cmd_matroid_info(args) -> int:
-    m = load_matroid_document(args.doc)
-    group = load_group(args.group, m)
-    report = {"command": "matroid info", "matroid": matroid_summary(m, group)}
+
+def emit(report: dict, as_json: bool, render) -> None:
+    with _reader_may_close():
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            render(report)
+
+
+# -- subcommand handlers: add fields to the report, return whether one failed --
+
+def cmd_matroid_info(args, ring, group, report) -> bool:
+    m = ring.matroid
     by_rank: dict[int, list[str]] = {}
     for f in m.flats:
         by_rank.setdefault(m.rank_of[f], []).append(flat_str(f, m.n))
     report["flats_by_rank"] = {str(r): v for r, v in sorted(by_rank.items())}
-    emit(report, args.json)
-    return 0
+    return False
 
 
-def cmd_chow(args) -> int:
-    m = load_matroid_document(args.doc)
-    ring = chow_ring(m)
-    group = load_group(args.group, m)
-    report = {"command": f"chow {args.what}",
-              "matroid": matroid_summary(m, group)}
-    failed = False
+def cmd_chow(args, ring, group, report) -> bool:
     if args.what == "hilbert":
         report["hilbert"] = " ".join(map(str, ring.hilbert_function()))
     elif args.what == "basis":
@@ -220,23 +228,18 @@ def cmd_chow(args) -> int:
         report["degree"] = k
         report["basis"] = [ring.mono_str(mo) for mo in ring.fy_basis(k)]
     elif args.what == "pairing":
-        dets = {}
-        for k in range(ring.r // 2 + 1):
-            dets[str(k)] = bareiss_det(ring.pairing_matrix(k))
+        dets = {str(k): bareiss_det(ring.pairing_matrix(k))
+                for k in range(ring.r // 2 + 1)}
         report["pairing_determinants"] = dets
-        failed = any(d not in (1, -1) for d in dets.values())
-    elif args.what in ("lefschetz", "hodge-riemann"):
+        return any(d not in (1, -1) for d in dets.values())
+    else:  # lefschetz, hodge-riemann
         omega = _load_omega(args, ring, group)
-        checks = []
-        for k in range(ring.r // 2 + 1):
-            if args.what == "lefschetz":
-                checks.append(ring.hard_lefschetz_check(omega, k))
-            else:
-                checks.append(ring.hodge_riemann_check(omega, k))
+        check = (ring.hard_lefschetz_check if args.what == "lefschetz"
+                 else ring.hodge_riemann_check)
+        checks = [check(omega, k) for k in range(ring.r // 2 + 1)]
         report["checks"] = checks
-        failed = not all(c["passed"] for c in checks)
-    emit(report, args.json)
-    return 1 if failed else 0
+        return not all(c["passed"] for c in checks)
+    return False
 
 
 def _degree(args, ring) -> int:
@@ -291,195 +294,141 @@ def _set_str(mask: int) -> str:
     return "{" + ",".join(str(e + 1) for e in members(mask)) + "}"
 
 
-def cmd_scd(args) -> int:
-    m = load_matroid_document(args.doc)
-    ring = chow_ring(m)
-    group = load_group(args.group, m)
-    report = {"command": f"scd {args.what}",
-              "matroid": matroid_summary(m, group)}
-    failed = False
+def cmd_scd(args, ring, group, report) -> bool:
     if args.what == "chains":
         rep = scd.verify_scd(ring)
-        failed = not rep["passed"]
-        chains = scd.symmetric_chains(ring)
         report["chains"] = [
-            {"support": [flat_str(f, m.n) for f in c.support],
+            {"support": [flat_str(f, ring.matroid.n) for f in c.support],
              "rho": c.rho,
              "monomials": [ring.mono_str(mo) for mo in c.monomials]}
-            for c in chains]
+            for c in scd.symmetric_chains(ring)]
         report["valid"] = rep["passed"]
-    else:  # maps
-        table = []
-        for k in range(ring.r + 1):
-            for mono in ring.fy_basis(k):
-                entry = {"degree": k, "monomial": ring.mono_str(mono),
-                         "pi": ring.mono_str(scd.pi_map(ring, mono))}
-                if 2 * k < ring.r:
-                    entry["lambda"] = ring.mono_str(scd.lambda_map(ring, mono))
-                table.append(entry)
-        report["maps"] = table
-        if args.check_equivariance:
-            checks = []
-            for k in range((ring.r + 1) // 2):
-                checks.append(scd.verify_equivariance(
-                    ring, group, lambda mo: scd.lambda_map(ring, mo),
-                    ring.fy_basis(k))["passed"])
-            for k in range(ring.r + 1):
-                checks.append(scd.verify_equivariance(
-                    ring, group, lambda mo: scd.pi_map(ring, mo),
-                    ring.fy_basis(k))["passed"])
-            report["equivariant"] = all(checks)
-            failed = not all(checks)
-    emit(report, args.json)
-    return 1 if failed else 0
+        return not rep["passed"]
+    table = []
+    for k in range(ring.r + 1):
+        for mono in ring.fy_basis(k):
+            entry = {"degree": k, "monomial": ring.mono_str(mono),
+                     "pi": ring.mono_str(scd.pi_map(ring, mono))}
+            if 2 * k < ring.r:
+                entry["lambda"] = ring.mono_str(scd.lambda_map(ring, mono))
+            table.append(entry)
+    report["maps"] = table
+    if not args.check_equivariance:
+        return False
+    checks = [scd.verify_equivariance(ring, group, lambda mo, f=f: f(ring, mo),
+                                      ring.fy_basis(k))["passed"]
+              for f, degrees in ((scd.lambda_map, (ring.r + 1) // 2),
+                                 (scd.pi_map, ring.r + 1))
+              for k in range(degrees)]
+    report["equivariant"] = all(checks)
+    return not all(checks)
 
 
-def cmd_burnside(args) -> int:
-    m = load_matroid_document(args.doc)
-    ring = chow_ring(m)
-    group = load_group(args.group, m)
+def cmd_burnside(args, ring, group, report) -> bool:
     ctx = BurnsideContext(ring, group)
-    report = {"command": f"burnside {args.what}",
-              "matroid": matroid_summary(m, group)}
-    failed = False
     if args.what == "decompose":
         k = _degree(args, ring)
         report["degree"] = k
         report["decomposition"] = repr(ctx.decompose_degrees((k,)))
-    elif args.what == "pf2":
-        quads = _quadruples(args, ring)
-        checks = [pf2_minor_check(ctx, *q) for q in quads]
-        report["checks"] = checks
-        failed = not all(c["passed"] for c in checks)
-    else:  # young-audit
-        quads = _quadruples(args, ring)
-        checks = [young_stabilizer_audit(ctx, *q) for q in quads]
-        report["checks"] = checks
-        failed = not all(c["passed"] for c in checks)
-    emit(report, args.json)
-    return 1 if failed else 0
+        return False
+    check = pf2_minor_check if args.what == "pf2" else young_stabilizer_audit
+    checks = [check(ctx, *q) for q in _quadruples(args, ring)]
+    report["checks"] = checks
+    return not all(c["passed"] for c in checks)
 
 
-def cmd_char(args) -> int:
-    m = load_matroid_document(args.doc)
-    ring = chow_ring(m)
-    group = load_group(args.group, m)
+def _int_tuple(text: str):
+    """Comma-separated integers as a tuple, or None if `text` is not that."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        return None
+
+
+def cmd_char(args, ring, group, report) -> bool:
     table, seq = character_sequence(ring, group)
-    data = table.data
-    report = {"command": f"char {args.what}",
-              "matroid": matroid_summary(m, group),
-              "table_backend": table.backend}
-    failed = False
+    report["table_backend"] = table.backend
     if args.what == "table":
+        data = table.data
         report["classes"] = [
             {"representative": perm_str(rep), "size": size}
             for rep, size in zip(data.reps, data.sizes)]
         report["irreducibles"] = [
             {"label": str(lab), "values": [str(v) for v in chi.values]}
             for lab, chi in zip(table.labels, table.irreducibles)]
-    elif args.what == "genuine":
-        rows, cols = args.minor.split(":")
-        rows = tuple(int(x) for x in rows.split(","))
-        cols = tuple(int(x) for x in cols.split(","))
+        return False
+    if args.what == "genuine":
+        rows, _, cols = args.minor.partition(":")
+        rows, cols = _int_tuple(rows), _int_tuple(cols)
+        if rows is None or cols is None or len(rows) != len(cols):
+            raise UsageError(f"--minor {args.minor}: needs ROWS:COLS, two "
+                             "comma-separated integer lists of one length")
         minor = toeplitz_minor(seq, rows, cols)
         genuine, mults = is_genuine(minor, table)
-        negative = [(str(table.labels[i]) if i < len(table.labels) else i,
-                     str(v))
-                    for i, v in enumerate(minor.values)
-                    if (v if isinstance(v, int) else 0) < 0]
+        negative = [v for v in minor.values if isinstance(v, int) and v < 0]
         verdict = "genuine character" if genuine else "NOT a genuine character"
         if negative:
             verdict += ("; NOT a permutation character "
-                        f"(negative value on a class: {negative[0][1]})")
+                        f"(negative value on a class: {negative[0]})")
         report["minor"] = {"rows": rows, "cols": cols,
                            "values": [str(v) for v in minor.values],
                            "multiplicities": mults, "verdict": verdict}
-        failed = not genuine
-    elif args.what == "gamma":
-        gammas = gamma_expansion(seq)
+        return not genuine
+    if args.what == "gamma":
         rows = []
-        for i, g in enumerate(gammas):
+        for i, g in enumerate(gamma_expansion(seq)):
             genuine, mults = is_genuine(g, table)
             rows.append({"i": i, "genuine": genuine, "multiplicities": mults})
-            failed = failed or not genuine
         report["gamma"] = rows
-    elif args.what == "toeplitz":
-        alpha = tuple(int(x) for x in args.composition.split(","))
+        return not all(row["genuine"] for row in rows)
+    if args.what == "toeplitz":
+        alpha = _int_tuple(args.composition)
+        if alpha is None or min(alpha) < 1:
+            raise UsageError(f"--composition {args.composition}: needs "
+                             "comma-separated positive integers")
         minor = koszul_minor(seq, alpha)
         genuine, mults = is_genuine(minor, table)
         report["composition"] = alpha
         report["mode"] = "evidence" if len(alpha) >= 3 else "certificate"
         report["genuine"] = genuine
         report["multiplicities"] = mults
-        failed = not genuine
-    else:  # pf
+        return not genuine
+    # pf
+    try:
         level = "inf" if args.level == "inf" else int(args.level)
-        rep = numeric_pf_check(list(ring.hilbert_function()), level)
-        report["pf"] = rep
-        failed = not rep["passed"]
-    emit(report, args.json)
-    return 1 if failed else 0
+    except ValueError:
+        level = 0
+    if level != "inf" and level < 2:
+        raise UsageError(f"--level {args.level}: needs 'inf' or an integer >= 2")
+    rep = numeric_pf_check(list(ring.hilbert_function()), level)
+    report["pf"] = rep
+    return not rep["passed"]
 
 
-def cmd_koszul(args) -> int:
-    m = load_matroid_document(args.doc)
-    ring = chow_ring(m)
-    group = load_group(args.group, m)
+def cmd_koszul(args, ring, group, report) -> bool:
     which = "2x2" if args.what == "check-2x2" else "3x3"
     rep = verify_injection(ring, group, which=which)
-    report = {"command": f"koszul {args.what}",
-              "matroid": matroid_summary(m, group)}
+    report["passed"] = rep["passed"]
     if which == "2x2":
-        report["passed"] = rep["passed"]
         report["cases"] = len(rep["reports"])
     else:
-        report["passed"] = rep["passed"]
         report["domain"] = rep["domain"]
         report["unmatched"] = [
             f"{side}: ({ring.mono_str(a)}, {ring.mono_str(b)})"
             for side, a, b in rep["unmatched"][:20]]
         report["collisions"] = len(rep["collisions"])
         report["minor_nonnegative"] = rep.get("minor_nonnegative")
-    emit(report, args.json)
-    return 0 if rep["passed"] else 1
+    return not rep["passed"]
 
 
-def cmd_verify(args) -> int:
-    m = load_matroid_document(args.doc)
-    group = load_group(args.group, m)
+def cmd_verify(args, ring, group, report) -> bool:
     t0 = time.perf_counter()
-    results = run_battery(m, group, deep=args.deep, seed=args.seed)
-    report = {"command": "verify all",
-              "matroid": matroid_summary(m, group),
-              "checks": [r.to_dict(with_timing=args.timings) for r in results],
-              "passed": all(r.passed for r in results)}
+    results = run_battery(ring.matroid, group, deep=args.deep, seed=args.seed)
+    report["checks"] = [r.to_dict(with_timing=args.timings) for r in results]
+    report["passed"] = all(r.passed for r in results)
     if args.timings:
         report["elapsed"] = round(time.perf_counter() - t0, 3)
-    if not args.json:
-        with _reader_may_close():
-            for r in results:
-                status = "PASS" if r.passed else "FAIL"
-                line = f"[{status}] {r.battery:>3} {r.name}"
-                if not r.passed and r.known_gap:
-                    line += f"  (known gap: {r.known_gap})"
-                print(line)
-            print("overall:", "PASS" if report["passed"] else "FAIL")
-    else:
-        emit(report, True)
-    return 0 if report["passed"] else 1
-
-
-def _add_common(parser, suppress=False):
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output",
-                        **({"default": argparse.SUPPRESS} if suppress else {}))
-    parser.add_argument("--seed", type=int,
-                        help="seed for sampled property checks",
-                        **(kw or {"default": 0}))
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall times in reports",
-                        **({"default": argparse.SUPPRESS} if suppress else {}))
+    return not report["passed"]
 
 
 # Options of single subcommands; each is attached only where its handler
@@ -495,6 +444,10 @@ _OPTIONS = {
     "--check-equivariance": {"action": "store_true"},
     "--deep": {"action": "store_true",
                "help": "include the large exact linear-algebra cases"},
+    "--seed": {"type": int, "default": 0,
+               "help": "seed for sampled property checks"},
+    "--timings": {"action": "store_true",
+                  "help": "include wall times in reports"},
 }
 
 
@@ -503,21 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chowring",
         description="Exact Chow rings of matroids: FY bases, symmetric "
                     "chains, Burnside and character positivity checks.")
-    _add_common(parser)
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group(name, help_text, func, commands):
+    def add_group(name, help_text, func, commands, render=_emit_text):
         psub = sub.add_parser(name, help=help_text).add_subparsers(
             dest="what", required=True)
         for what, *options in commands:
             pc = psub.add_parser(what)
-            _add_common(pc, suppress=True)
+            # given here or before the command; SUPPRESS keeps the latter
+            pc.add_argument("--json", action="store_true",
+                            default=argparse.SUPPRESS,
+                            help="machine-readable output")
             pc.add_argument("doc", help="matroid document (JSON, path, or name)")
             pc.add_argument("--group", default="auto",
                             help="'auto' or a JSON group file")
             for option in options:
                 pc.add_argument(option, **_OPTIONS[option])
-            pc.set_defaults(func=func)
+            pc.set_defaults(func=func, render=render)
 
     add_group("matroid", "lattice and symmetry summary", cmd_matroid_info,
               [("info",)])
@@ -535,18 +492,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_group("koszul", "explicit equivariant injections", cmd_koszul,
               [("check-2x2",), ("check-3x3",)])
     add_group("verify", "run the full battery", cmd_verify,
-              [("all", "--deep")])
+              [("all", "--deep", "--seed", "--timings")], render=_emit_checks)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        m = load_matroid_document(args.doc)
+        group = load_group(args.group, m)
+        report = {"command": f"{args.command} {args.what}",
+                  "matroid": matroid_summary(m, group)}
+        failed = args.func(args, chow_ring(m), group, report)
     except (UsageError, MatroidError, GroupError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    emit(report, args.json, args.render)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from chowring.cli import main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run(capsys, *argv):
@@ -64,6 +66,13 @@ def test_bad_document_exit_2(capsys):
     ("chow", "hilbert", '{"type": "uniform", "n": 5, "rank": "4"}'),
     ("chow", "hilbert", "boolean(3)", "--group", "no-such-group.json"),
     ("chow", "lefschetz", "boolean(3)", "--omega", "no-such-omega.json"),
+    ("char", "genuine", "boolean(3)", "--minor", "0,1"),
+    ("char", "genuine", "boolean(3)", "--minor", "0,1:1"),
+    ("char", "genuine", "boolean(3)", "--minor", "a:b"),
+    ("char", "toeplitz", "boolean(3)", "--composition", "x"),
+    ("char", "toeplitz", "boolean(3)", "--composition", "0,1"),
+    ("char", "pf", "boolean(3)", "--level", "x"),
+    ("char", "pf", "boolean(3)", "--level", "0"),
 ])
 def test_input_errors_exit_2(capsys, argv):
     code = main(list(argv))
@@ -249,12 +258,13 @@ def test_group_file(tmp_path, capsys):
 
 
 # An option is accepted only by the subcommands whose handler reads it;
-# _UNREAD lists every other subcommand of a group that has the option.
+# _UNREAD lists every other subcommand of a group that has the option, and
+# every subcommand but `verify all` for --seed and --timings.
 _OPTION_ARGS = {
     "--omega": ("default",), "--degree": ("1",),
     "--quadruple": ("0", "1", "1", "2"), "--minor": ("0,1,2:1,2,4",),
     "--composition": ("1,1,1",), "--level": ("2",),
-    "--check-equivariance": (),
+    "--check-equivariance": (), "--seed": ("1",), "--timings": (),
 }
 _UNREAD = [
     (group, what, option)
@@ -266,14 +276,18 @@ _UNREAD = [
          ("--degree", "--quadruple")),
         ("char", ("table", "genuine", "gamma", "toeplitz", "pf"),
          ("--minor", "--composition", "--level")),
+        ("matroid", ("info",), ()),
+        ("koszul", ("check-2x2", "check-3x3"), ()),
+        ("verify", ("all",), ()),
     )
-    for what in whats for option in options
+    for what in whats for option in (*options, "--seed", "--timings")
     if (what, option) not in {
         ("lefschetz", "--omega"), ("hodge-riemann", "--omega"),
         ("basis", "--degree"), ("decompose", "--degree"),
         ("pf2", "--quadruple"), ("young-audit", "--quadruple"),
         ("genuine", "--minor"), ("toeplitz", "--composition"),
-        ("pf", "--level"), ("maps", "--check-equivariance")}
+        ("pf", "--level"), ("maps", "--check-equivariance"),
+        ("all", "--seed"), ("all", "--timings")}
 ]
 
 
@@ -283,6 +297,36 @@ def test_option_where_unread_exits_2(capsys, group, what, option):
         main([group, what, "boolean(3)", option, *_OPTION_ARGS[option]])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--timings",)])
+def test_verify_option_before_the_command_exits_2(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*option, "verify", "all", "boolean(3)"])
+    assert exc.value.code == 2
+
+
+def test_timings_add_only_elapsed(capsys):
+    code, plain = run(capsys, "verify", "all", "boolean(2)", "--json")
+    timed_code, timed = run(capsys, "verify", "all", "boolean(2)", "--json",
+                            "--timings")
+    timed = json.loads(timed)
+    assert isinstance(timed.pop("elapsed"), float)
+    for check in timed["checks"]:
+        assert isinstance(check.pop("elapsed"), float)
+    assert (timed_code, timed) == (code, json.loads(plain))
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("chowring ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_example_exits_0(capsys, argv):
+    assert main(argv[1:]) == 0
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
