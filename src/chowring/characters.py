@@ -555,16 +555,19 @@ class CharacterTable:
 _TABLE_CACHE: dict = {}
 
 
+def table_backend(group: PermGroup) -> str:
+    """The backend that character_table uses for the group."""
+    return "murnaghan-nakayama" if group.is_full_symmetric() else "dixon"
+
+
 def character_table(group: PermGroup) -> CharacterTable:
     got = _TABLE_CACHE.get(group.element_set)
     if got is None:
         data = class_data(group)
-        if group.is_full_symmetric():
-            irr, labels = _symmetric_table(group, data)
-            got = CharacterTable(group, data, irr, labels, "murnaghan-nakayama")
-        else:
-            irr, labels = _dixon_table(group, data)
-            got = CharacterTable(group, data, irr, labels, "dixon")
+        backend = table_backend(group)
+        build = _symmetric_table if backend == "murnaghan-nakayama" else _dixon_table
+        irr, labels = build(group, data)
+        got = CharacterTable(group, data, irr, labels, backend)
         _TABLE_CACHE[group.element_set] = got
     return got
 

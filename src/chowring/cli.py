@@ -36,7 +36,7 @@ from . import scd
 from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
                        young_stabilizer_audit)
 from .characters import (gamma_expansion, is_genuine, koszul_minor,
-                         numeric_pf_check, toeplitz_minor)
+                         numeric_pf_check, table_backend, toeplitz_minor)
 from .chow import NotGroupFixed, NotSubmodular, chow_ring, lefschetz_omega
 from .koszul import verify_injection
 from .linalg import bareiss_det
@@ -346,8 +346,18 @@ def _int_tuple(text: str):
 
 
 def cmd_char(args, ring, group, report) -> bool:
+    report["table_backend"] = table_backend(group)
+    if args.what == "pf":  # reads only the Hilbert function
+        try:
+            level = "inf" if args.level == "inf" else int(args.level)
+        except ValueError:
+            level = 0
+        if level != "inf" and level < 2:
+            raise UsageError(f"--level {args.level}: needs 'inf' or an integer >= 2")
+        rep = numeric_pf_check(list(ring.hilbert_function()), level)
+        report["pf"] = rep
+        return not rep["passed"]
     table, seq = character_sequence(ring, group)
-    report["table_backend"] = table.backend
     if args.what == "table":
         data = table.data
         report["classes"] = [
@@ -381,28 +391,18 @@ def cmd_char(args, ring, group, report) -> bool:
             rows.append({"i": i, "genuine": genuine, "multiplicities": mults})
         report["gamma"] = rows
         return not all(row["genuine"] for row in rows)
-    if args.what == "toeplitz":
-        alpha = _int_tuple(args.composition)
-        if alpha is None or min(alpha) < 1:
-            raise UsageError(f"--composition {args.composition}: needs "
-                             "comma-separated positive integers")
-        minor = koszul_minor(seq, alpha)
-        genuine, mults = is_genuine(minor, table)
-        report["composition"] = alpha
-        report["mode"] = "evidence" if len(alpha) >= 3 else "certificate"
-        report["genuine"] = genuine
-        report["multiplicities"] = mults
-        return not genuine
-    # pf
-    try:
-        level = "inf" if args.level == "inf" else int(args.level)
-    except ValueError:
-        level = 0
-    if level != "inf" and level < 2:
-        raise UsageError(f"--level {args.level}: needs 'inf' or an integer >= 2")
-    rep = numeric_pf_check(list(ring.hilbert_function()), level)
-    report["pf"] = rep
-    return not rep["passed"]
+    # toeplitz
+    alpha = _int_tuple(args.composition)
+    if alpha is None or min(alpha) < 1:
+        raise UsageError(f"--composition {args.composition}: needs "
+                         "comma-separated positive integers")
+    minor = koszul_minor(seq, alpha)
+    genuine, mults = is_genuine(minor, table)
+    report["composition"] = alpha
+    report["mode"] = "evidence" if len(alpha) >= 3 else "certificate"
+    report["genuine"] = genuine
+    report["multiplicities"] = mults
+    return not genuine
 
 
 def cmd_koszul(args, ring, group, report) -> bool:

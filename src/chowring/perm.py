@@ -1,8 +1,11 @@
 """Permutations of the ground set, matroid automorphism groups, conjugacy.
 
 Permutations are plain tuples of images on 0..n-1. Groups materialize their
-full element list by closure under products; the corpus keeps |G| small
-(default cap 10080), so deterministic brute force beats stabilizer chains.
+full element list; the corpus keeps |G| small (default cap 10080). A group
+given by generators is closed under products. The automorphism group of a
+matroid comes from a stabilizer chain: one backtrack search per point and
+candidate image finds a coset representative, and the elements are the
+products of one representative per level.
 """
 
 from __future__ import annotations
@@ -184,8 +187,20 @@ def symmetric_group(n: int) -> PermGroup:
 
 
 def matroid_automorphisms(m: Matroid, cap=GROUP_CAP) -> PermGroup:
-    """All ground-set permutations carrying flats to flats, by backtracking
-    with flat-incidence pruning."""
+    """All ground-set permutations carrying flats to flats, from a stabilizer
+    chain (Sims) whose coset representatives come from a backtrack search
+    with flat-incidence pruning (Leon).
+
+    Level d is the pointwise stabilizer G_d of 0..d-1. For each candidate c
+    with the flat profile of d, the search fixes 0..d-1, sends d to c and
+    stops at its first full leaf, an automorphism in G_d mapping d to c; a
+    candidate without a leaf has had its whole subtree searched, so it is
+    not in the orbit of d under G_d. A leaf fixes every flat inside 0..d-1
+    and has had the image of every other nonempty flat checked against the
+    flat set. G is the set of products of one representative per level.
+    Raises GroupTooLarge once the product of the orbit sizes, |G|, exceeds
+    `cap`.
+    """
     n = m.n
     flat_set = set(m.flats)
     # invariant profile per element: multiset of (rank, size) of flats through it
@@ -199,53 +214,79 @@ def matroid_automorphisms(m: Matroid, cap=GROUP_CAP) -> PermGroup:
     determined_at = [[] for _ in range(n)]
     for f in m.flats:
         if f:
-            determined_at[max(members(f))].append(f)
+            determined_at[max(members(f))].append(members(f))
 
-    found = []
-    image = [-1] * n
-    used = [False] * n
+    image = list(range(n))
+    used = [False] * n  # images taken by the points already assigned
 
-    def extend(depth):
-        if depth == n:
-            found.append(tuple(image))
-            if len(found) > cap:
+    def candidates(depth):
+        return [c for c in range(n)
+                if not used[c] and profiles[c] == profiles[depth]]
+
+    def first_leaf(depth, c):
+        """The first automorphism extending image[:depth] by depth -> c, or
+        None once the whole subtree below has been searched."""
+        image[depth] = c
+        for f in determined_at[depth]:
+            img = 0
+            for e in f:
+                img |= 1 << image[e]
+            if img not in flat_set:
+                return None
+        if depth + 1 == n:
+            return tuple(image)
+        used[c] = True
+        leaf = None
+        for c2 in candidates(depth + 1):
+            leaf = first_leaf(depth + 1, c2)
+            if leaf is not None:
+                break
+        used[c] = False
+        return leaf
+
+    transversals = []
+    order = 1
+    for d in range(n):
+        leaves = [first_leaf(d, c) for c in candidates(d) if c != d]
+        reps = [u for u in leaves if u is not None]
+        image[d] = d  # fixed pointwise from level d + 1 on
+        used[d] = True
+        if reps:
+            transversals.append(reps)
+            order *= len(reps) + 1
+            if order > cap:
                 raise GroupTooLarge(cap)
-            return
-        for c in range(n):
-            if used[c] or profiles[c] != profiles[depth]:
-                continue
-            image[depth] = c
-            used[c] = True
-            ok = True
-            for f in determined_at[depth]:
-                img = 0
-                for e in members(f):
-                    img |= 1 << image[e]
-                if img not in flat_set:
-                    ok = False
-                    break
-            if ok:
-                extend(depth + 1)
-            image[depth] = -1
-            used[c] = False
-
-    extend(0)
-    els = set(found)
+    els = [identity(n)]
+    for reps in reversed(transversals):
+        els += [compose(u, g) for u in reps for g in els]
     return PermGroup(n, _reduce_generators(els, n), els)
 
 
 def _reduce_generators(elements, n):
-    """Small generating set for a materialized group (greedy)."""
+    """Small generating set for a materialized group: scan the elements in
+    order and keep each one outside the span of those kept so far. The span
+    grows by whole right cosets of the previous span (Dimino)."""
     els = sorted(elements)
-    if len(els) == 1:
-        return ()
     gens = []
-    span = {identity(n)}
+    span = [identity(n)]
+    span_set = set(span)
     for g in els:
-        if g in span:
+        if g in span_set:
             continue
         gens.append(g)
-        span = mulclose(gens, n, cap=len(els))
+        prev = span[:]
+        # span is a list of right cosets of prev, each headed by its
+        # representative; close it under right multiplication by gens
+        head = 0
+        while head < len(span):
+            x = span[head]
+            for s in gens:
+                xs = compose(x, s)
+                if xs not in span_set:
+                    coset = [compose(h, xs) for h in prev]
+                    span += coset
+                    span_set.update(coset)
+            head += len(prev)
         if len(span) == len(els):
             break
     return tuple(gens)

@@ -64,6 +64,7 @@ def test_bad_document_exit_2(capsys):
     ("chow", "hilbert", '{"ground_set": 3, "bases": [[1, 2]]}'),
     ("chow", "hilbert", '{"type": "uniform", "n": 5}'),
     ("chow", "hilbert", '{"type": "uniform", "n": 5, "rank": "4"}'),
+    ("chow", "hilbert", '{"type": "uniform", "rank": 4, "n": 9}'),
     ("chow", "hilbert", "boolean(3)", "--group", "no-such-group.json"),
     ("chow", "lefschetz", "boolean(3)", "--omega", "no-such-omega.json"),
     ("char", "genuine", "boolean(3)", "--minor", "0,1"),

@@ -1,11 +1,14 @@
+from itertools import permutations
+
 import pytest
 
+from chowring.corpus import K5_EDGES, corpus, corpus_matroid
 from chowring.matroid import boolean, graphic, uniform
 from chowring.perm import (
     GroupError, GroupTooLarge, NotFullSymmetricGroup, are_conjugate_subgroups,
     compose, cycle_type, from_cycles, group_from_generators, identity,
-    inverse, is_young_subgroup, matroid_automorphisms, orbit, perm_str,
-    stabilizer, symmetric_group, trivial_group,
+    inverse, is_young_subgroup, matroid_automorphisms, mulclose, orbit,
+    perm_mask, perm_str, stabilizer, symmetric_group, trivial_group,
 )
 
 
@@ -41,6 +44,53 @@ def test_closure_property():
         for b in list(els)[:8]:
             assert compose(a, b) in els
             assert inverse(a) in els
+
+
+def test_aut_cap_is_the_group_order():
+    m = uniform(3, 7)
+    with pytest.raises(GroupTooLarge, match="group exceeds cap 5039"):
+        matroid_automorphisms(m, cap=5039)
+    assert matroid_automorphisms(m, cap=5040).order == 5040
+
+
+def _greedy_generators(elements, n):
+    """Each element, in sorted order, that is not in the span of those kept
+    before it; the span is closed from scratch every time."""
+    gens, span = [], {identity(n)}
+    for g in sorted(elements):
+        if g not in span:
+            gens.append(g)
+            span = mulclose(gens, n, cap=len(elements))
+    return tuple(gens)
+
+
+def _brute_force_automorphisms(m):
+    # big flats first: a non-automorphism usually fails on its first test
+    flats = sorted(m.flats, key=lambda f: -bin(f).count("1"))
+    flat_set = set(flats)
+    return {p for p in permutations(range(m.n))
+            if all(perm_mask(p, f) in flat_set for f in flats)}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus(max_n=6)]
+                         + ["graphic(W4)", "uniform(3,7)"])
+def test_aut_matches_brute_force(name):
+    m = corpus_matroid(name)
+    group = matroid_automorphisms(m)
+    expected = _brute_force_automorphisms(m)
+    assert set(group.elements) == expected
+    assert group.gens == _greedy_generators(expected, m.n)
+
+
+def test_aut_k5_is_s5_on_edges():
+    m = graphic(K5_EDGES)
+    index = {e: i for i, e in enumerate(K5_EDGES)}
+    induced = {tuple(index[tuple(sorted((s[a], s[b])))] for a, b in K5_EDGES)
+               for s in permutations(range(5))}
+    group = matroid_automorphisms(m)
+    assert len(induced) == 120
+    assert set(group.elements) == induced
+    assert group.gens == _greedy_generators(induced, m.n)
 
 
 def test_aut_u45_is_s5():
