@@ -236,6 +236,14 @@ def _bit_indices(bits: int):
     return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
 
 
+def _conjugate(s, g) -> tuple[int, ...]:
+    """s g s^-1 in one pass: it sends s(i) to s(g(i))."""
+    h = [0] * len(s)
+    for i, gi in enumerate(g):
+        h[s[i]] = s[gi]
+    return tuple(h)
+
+
 class BurnsideContext:
     """Per-(matroid, group) workspace caching FY product decompositions."""
 
@@ -318,9 +326,8 @@ class BurnsideContext:
         if self._conj_maps is None:
             els = self.group.elements
             index = {g: i for i, g in enumerate(els)}
-            self._conj_maps = [
-                [index[compose(compose(s, g), s_inv)] for g in els]
-                for s, s_inv in ((s, inverse(s)) for s in self.group.gens)]
+            self._conj_maps = [[index[_conjugate(s, g)] for g in els]
+                               for s in self.group.gens]
         seen = {bits}
         frontier = [_bit_indices(bits)]
         while frontier:

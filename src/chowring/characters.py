@@ -590,18 +590,21 @@ def toeplitz_minor(seq, rows, cols):
 
 
 def _det_ring(m, zero):
+    """Cofactor expansion along the top row. Entries that are the shared
+    `zero` object, as `toeplitz_minor` puts outside the band, contribute
+    nothing, so their minors are never expanded."""
     n = len(m)
     if n == 0:
         raise CharacterError("empty minor")
     if n == 1:
         return m[0][0]
     total = zero
-    sign = 1
-    for j in range(n):
+    for j, entry in enumerate(m[0]):
+        if entry is zero:
+            continue
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det_ring(minor, zero)
-        total = total + (term if sign > 0 else -term)
-        sign = -sign
+        term = entry * _det_ring(minor, zero)
+        total = total + (term if j % 2 == 0 else -term)
     return total
 
 

@@ -14,6 +14,15 @@ its exponent), so a source is tried only against the rules of its shape.
 Guards only mention ranks, coranks and comparability, which automorphisms
 preserve, so equivariance is structural; totality and injectivity are checked
 exhaustively per matroid.
+
+The 3x3 check runs that per-rule scan once per source *type*: the side, the
+rank and exponent of each factor, and the pairwise relations of the factor
+flats. That is everything a binding and a guard can read, so
+`CaseMap.matches` memoises the matching rules per type, with their letter ->
+factor position maps, and every other source of the type only rebuilds its
+bindings. The equivariance sweeps of both checks move sources and images by
+lookup in one move table per generator (`move_tables`: FY monomial -> its
+image), built once, instead of acting on every monomial for every generator.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from itertools import combinations
 
 from .chow import ChowRing, mono_degree, mono_mul
 from .burnside import BurnsideContext, burnside_geq
@@ -59,8 +69,30 @@ def injection_2x2(ring: ChowRing, j: int, k: int, mono):
     raise DegreeMismatch("exponents sum below j")
 
 
-def verify_2x2(ring: ChowRing, group, j: int, k: int) -> dict:
-    """Totality, FY-validity of both factors, product-inverse, equivariance."""
+class _MoveTable(dict):
+    """One generator's move table: FY monomial -> its image under g. A
+    monomial outside the table, such as an image that is not FY, is moved by
+    ChowRing.act instead."""
+
+    def __init__(self, ring: ChowRing, g, monos):
+        super().__init__((mono, ring.act(g, mono)) for mono in monos)
+        self.ring = ring
+        self.g = g
+
+    def __missing__(self, mono):
+        return self.ring.act(self.g, mono)
+
+
+def move_tables(ring: ChowRing, group, degrees):
+    """(g, move table) for each generator of the group, over the FY
+    monomials of the given degrees."""
+    monos = [mono for d in degrees if d <= ring.r for mono in ring.fy_basis(d)]
+    return [(g, _MoveTable(ring, g, monos)) for g in group.gens]
+
+
+def verify_2x2(ring: ChowRing, moves, j: int, k: int) -> dict:
+    """Totality, FY-validity of both factors, product-inverse, equivariance
+    under each generator of `moves` (as built by `move_tables`)."""
     failures = []
     if j + k > ring.r:
         return {"check": "injection_2x2", "jk": (j, k), "domain": 0,
@@ -68,17 +100,15 @@ def verify_2x2(ring: ChowRing, group, j: int, k: int) -> dict:
     domain = ring.fy_basis(j + k)
     fy_j = set(ring.fy_basis(j))
     fy_k = set(ring.fy_basis(k))
-    for a in domain:
-        b, c = injection_2x2(ring, j, k, a)
+    splits = [injection_2x2(ring, j, k, a) for a in domain]
+    for a, (b, c) in zip(domain, splits):
         if b not in fy_j or c not in fy_k:
             failures.append(("invalid_factor", ring.mono_str(a)))
         if mono_mul(b, c) != a:
             failures.append(("not_inverse", ring.mono_str(a)))
-    for g in group.gens:
-        for a in domain:
-            b, c = injection_2x2(ring, j, k, a)
-            gb, gc = injection_2x2(ring, j, k, ring.act(g, a))
-            if (gb, gc) != (ring.act(g, b), ring.act(g, c)):
+    for g, move in moves:
+        for a, (b, c) in zip(domain, splits):
+            if injection_2x2(ring, j, k, move[a]) != (move[b], move[c]):
                 failures.append(("not_equivariant", g, ring.mono_str(a)))
     return {"check": "injection_2x2", "jk": (j, k), "domain": len(domain),
             "passed": not failures, "failures": failures}
@@ -205,6 +235,7 @@ class CaseMap:
 
     def __init__(self, ring: ChowRing):
         self.ring = ring
+        self._by_type: dict = {}  # source type -> [(rule, letter places)]
 
     def _bind(self, rule: CaseRule, comp1, comp2):
         """Letter -> var index binding, or None if a letter would name two
@@ -224,9 +255,10 @@ class CaseMap:
                        ring, *[binding[sym] for sym in letters]), bound)
                    for kind, letters, op, bound in rule.guards)
 
-    def matches(self, side: str, comp1, comp2):
-        """All (rule, binding) pairs matching the input (should be exactly 1),
-        in table order; only the rules of the source's shape are tried."""
+    def _scan(self, side: str, comp1, comp2):
+        """The per-rule scan over the rules of the source's shape: each
+        matching rule with its letter -> factor position map, in table
+        order."""
         top = self.ring.top_var
         shape = (side,) + tuple(tuple((vi == top, e) for vi, e in comp)
                                 for comp in (comp1, comp2))
@@ -234,8 +266,30 @@ class CaseMap:
         for rule in _rules_by_shape().get(shape, ()):
             binding = self._bind(rule, comp1, comp2)
             if binding is not None and self._guards_ok(rule, binding):
-                out.append((rule, binding))
+                letters = [sym for sym, _ in rule.comp1 + rule.comp2]
+                out.append((rule, tuple((sym, letters.index(sym))
+                                        for sym in binding)))
         return out
+
+    def matches(self, side: str, comp1, comp2):
+        """All (rule, binding) pairs matching the input (should be exactly 1),
+        in table order. Memoised by the source's type: its side, the rank
+        and exponent of each factor, and the pairwise relations of its
+        factor flats ("=" among them, so the equality pattern too). That is
+        all `_bind` and the guards read, and only E has rank r, so the first
+        source of each type runs the per-rule scan and the others rebuild
+        their bindings from its letter -> factor position maps."""
+        vrank, flats = self.ring.vrank, self.ring.vars
+        factors = [vi for vi, _ in comp1 + comp2]
+        key = (side, tuple([(vrank[vi], e) for vi, e in comp1]),
+               tuple([(vrank[vi], e) for vi, e in comp2]),
+               tuple([_relation(flats[a], flats[b])
+                      for a, b in combinations(factors, 2)]))
+        found = self._by_type.get(key)
+        if found is None:
+            found = self._by_type[key] = self._scan(side, comp1, comp2)
+        return [(rule, {sym: factors[pos] for sym, pos in places})
+                for rule, places in found]
 
     def apply(self, side: str, comp1, comp2):
         """Image of one domain element; raises UnmatchedCase on table gaps."""
@@ -283,7 +337,8 @@ def verify_injection(ring: ChowRing, group, which="3x3",
     source), valid images, global injectivity, equivariance; then compare the
     3x3 Burnside minor against an independent direct decomposition."""
     if which == "2x2":
-        reports = [verify_2x2(ring, group, j, k)
+        moves = move_tables(ring, group, range(ring.r + 1))
+        reports = [verify_2x2(ring, moves, j, k)
                    for j in range(ring.r + 1) for k in range(ring.r + 1 - j)]
         return {"check": "injection_2x2_all",
                 "passed": all(rep["passed"] for rep in reports),
@@ -324,17 +379,15 @@ def verify_injection(ring: ChowRing, group, which="3x3",
         else:
             images[img] = src
     equi_failures = []
-    for g in group.gens:
-        for src, img in image_of.items():
+    for g, move in move_tables(ring, group, (1, 2, 3)):
+        for src, (kind, payload) in image_of.items():
             side, c1, c2 = src
-            gsrc = (side, ring.act(g, c1), ring.act(g, c2))
-            gimg = image_of.get(gsrc)
-            kind, payload = img
             if kind == "T":
-                moved = ("T", tuple(ring.act(g, p) for p in payload))
+                a, b, c = payload
+                moved = ("T", (move[a], move[b], move[c]))
             else:
-                moved = ("M", ring.act(g, payload))
-            if moved != gimg:
+                moved = ("M", move[payload])
+            if moved != image_of.get((side, move[c1], move[c2])):
                 equi_failures.append((g, src))
     report = {
         "check": "injection_3x3",

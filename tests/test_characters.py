@@ -130,6 +130,26 @@ def test_toeplitz_out_of_band_is_zero_entry():
     assert minor == seq[1] * seq[1]
 
 
+
+@pytest.mark.parametrize("cols", [(1, 2, 3, 4, 5, 6), (1, 2, 3, 5, 6, 7)])
+def test_det_ring_skipping_zeros_matches_plain_cofactors(cols):
+    _, _, seq = fy_characters(boolean(3))
+    rows = (0, 1, 2, 3, 4, 5)
+    zero = seq[0] * 0
+    entries = [[seq[c - r] if 0 <= c - r < len(seq) else zero for c in cols]
+               for r in rows]
+
+    def plain(m):
+        if len(m) == 1:
+            return m[0][0]
+        total = zero
+        for j in range(len(m)):
+            term = m[0][j] * plain([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total + (term if j % 2 == 0 else -term)
+        return total
+
+    assert toeplitz_minor(seq, rows, cols) == plain(entries)
+
 def test_gamma_numeric():
     assert gamma_expansion([1, 21, 21, 1]) == [1, 18]
     assert gamma_expansion([1, 11, 11, 1]) == [1, 8]

@@ -1,9 +1,11 @@
 import pytest
 
 from chowring.chow import chow_ring, mono_mul
+from chowring.corpus import K5_EDGES, W4_EDGES
 from chowring.koszul import (
     CaseMap, DegreeMismatch, KoszulError, UnmatchedCase, audit_rule_shapes,
-    injection_2x2, injection_3x3, parse_rules, rules_3x3, verify_injection,
+    injection_2x2, injection_3x3, move_tables, parse_rules, rules_3x3,
+    verify_injection,
 )
 from chowring.matroid import boolean, graphic, mask_of, uniform
 from chowring.perm import matroid_automorphisms
@@ -245,3 +247,71 @@ def test_unmatched_raises():
     top = ring.top_var
     with pytest.raises(UnmatchedCase):
         injection_3x3(ring, "A", ((top, 1),), ((top, 2),))
+
+
+def _sources(ring):
+    fy1 = ring.fy_basis(1)
+    fy2 = ring.fy_basis(2)
+    return ([("A", a, b) for a in fy1 for b in fy2]
+            + [("B", b, a) for b in fy2 for a in fy1])
+
+
+@pytest.mark.parametrize("m", [boolean(5), uniform(4, 6), graphic(K5_EDGES),
+                               graphic(W4_EDGES)],
+                         ids=["boolean(5)", "uniform(4,6)", "graphic(K5)",
+                              "graphic(W4)"])
+def test_memoised_dispatch_equals_per_rule_scan(m):
+    ring = chow_ring(m)
+    cmap = CaseMap(ring)
+    top = ring.top_var
+    sources = _sources(ring)
+    for side, c1, c2 in sources:
+        shape = (side,) + tuple(tuple((vi == top, e) for vi, e in comp)
+                                for comp in (c1, c2))
+        expected = []
+        for rule in rules_3x3():
+            if rule.shape != shape:
+                continue
+            binding = cmap._bind(rule, c1, c2)
+            if binding is not None and cmap._guards_ok(rule, binding):
+                expected.append((rule, binding))
+        assert cmap.matches(side, c1, c2) == expected
+    # the memo is keyed by source type, so it holds far fewer entries than
+    # there are sources
+    assert len(cmap._by_type) * 10 < len(sources)
+
+
+@pytest.mark.parametrize("m", [graphic(K5_EDGES), uniform(4, 6)],
+                         ids=["graphic(K5)", "uniform(4,6)"])
+def test_equivariance_sweep_catches_an_identity_dependent_image(
+        m, monkeypatch):
+    ring = chow_ring(m)
+    group = matroid_automorphisms(m)
+    assert verify_injection(ring, group, check_minor=False)["passed"]
+    image = CaseMap.image
+
+    def skewed(self, rule, binding):
+        # send the first proper letter to the lowest-index flat of its rank:
+        # a choice by identity, which no automorphism respects
+        binding = dict(binding)
+        sym = next((sym for sym in binding if sym != "E"), None)
+        if sym is not None:
+            rank = self.ring.vrank[binding[sym]]
+            binding[sym] = self.ring.vrank.index(rank)
+        return image(self, rule, binding)
+
+    monkeypatch.setattr(CaseMap, "image", skewed)
+    rep = verify_injection(ring, group, check_minor=False)
+    assert rep["equivariance_failures"]
+    assert not rep["passed"]
+
+
+def test_move_tables_fall_back_to_act_outside_the_table():
+    m = uniform(4, 6)
+    ring = chow_ring(m)
+    tables = move_tables(ring, matroid_automorphisms(m), (1, 2))
+    atom = ((ring.vrank.index(1), 1),)  # a rank-1 flat: not in FY1
+    for g, move in tables:
+        assert set(move) == set(ring.fy_basis(1)) | set(ring.fy_basis(2))
+        assert all(move[mono] == ring.act(g, mono) for mono in move)
+        assert atom not in move and move[atom] == ring.act(g, atom)
