@@ -1,7 +1,10 @@
 """Burnside ring arithmetic over conjugacy classes of subgroups.
 
 Genuine G-sets are decomposed orbit by orbit; each orbit contributes its
-point stabilizer's conjugacy class to a lazily grown registry. Two genuine
+point stabilizer's conjugacy class to a lazily grown registry. The registry
+keeps one map from element bitsets to class indices: the first subgroup met
+of a class registers it together with the bitsets of all its G-conjugates,
+so naming a stabilizer is a lookup and no conjugacy search runs. Two genuine
 G-sets are isomorphic iff their coefficient vectors agree, so inequalities
 b >= b' are coefficientwise.
 
@@ -24,9 +27,8 @@ from math import prod
 
 from .chow import ChowRing
 from .matroid import members
-from .perm import (NotFullSymmetricGroup, PermGroup, are_conjugate_subgroups,
-                   compose, inverse, is_young_subgroup, orbit,
-                   subgroup_invariant)
+from .perm import (NotFullSymmetricGroup, PermGroup, compose, conjugate,
+                   inverse, is_young_subgroup, orbit)
 
 
 class BurnsideError(Exception):
@@ -68,28 +70,48 @@ def product(x: GSet, y: GSet) -> GSet:
 
 
 class SubgroupRegistry:
-    """Canonical list of stabilizer classes of one group, grown lazily."""
+    """Canonical list of stabilizer classes of one group, grown lazily.
+
+    A subgroup is given as a bitset over `group.elements`. The first subgroup
+    met of each class is its entry in `classes`, and the bitsets of all its
+    G-conjugates are cached on the spot, so a bitset missing from the cache
+    starts a new class."""
 
     def __init__(self, group: PermGroup):
         self.group = group
         self.classes: list[frozenset] = []
-        self._exact: dict[frozenset, int] = {}
-        self._by_invariant: dict = {}
+        self._index: dict[int, int] = {}  # element bitset -> class index
+        self._conj_maps = None
 
-    def classify(self, elements: frozenset) -> int:
-        idx = self._exact.get(elements)
-        if idx is not None:
-            return idx
-        inv = subgroup_invariant(self.group.n, elements)
-        for idx in self._by_invariant.get(inv, ()):
-            if are_conjugate_subgroups(self.group, self.classes[idx], elements):
-                self._exact[elements] = idx
-                return idx
-        idx = len(self.classes)
-        self.classes.append(elements)
-        self._exact[elements] = idx
-        self._by_invariant.setdefault(inv, []).append(idx)
+    def classify(self, bits: int) -> int:
+        idx = self._index.get(bits)
+        if idx is None:
+            idx = len(self.classes)
+            els = self.group.elements
+            self.classes.append(frozenset(els[i] for i in _bit_indices(bits)))
+            for conj in self._conjugates(bits):
+                self._index[conj] = idx
         return idx
+
+    def _conjugates(self, bits: int) -> set[int]:
+        """Bitsets of the G-conjugates of a subgroup, by closing under
+        conjugation by the generators."""
+        if self._conj_maps is None:
+            els = self.group.elements
+            index = {g: i for i, g in enumerate(els)}
+            self._conj_maps = [[index[conjugate(s, g)] for g in els]
+                               for s in self.group.gens]
+        seen = {bits}
+        frontier = [_bit_indices(bits)]
+        while frontier:
+            idxs = frontier.pop()
+            for cmap in self._conj_maps:
+                image = [cmap[i] for i in idxs]
+                conj = sum(1 << i for i in image)
+                if conj not in seen:
+                    seen.add(conj)
+                    frontier.append(image)
+        return seen
 
     def order_of(self, idx: int) -> int:
         return len(self.classes[idx])
@@ -171,26 +193,18 @@ def burnside_geq(a: BurnsideElement, b: BurnsideElement):
 def decompose(x: GSet, registry: SubgroupRegistry) -> BurnsideElement:
     if x.group is not registry.group:
         raise GroupMismatch("G-set and registry over different groups")
-    gens = x.group.gens
     act = x.act
     visited = set()
     coeffs: dict[int, int] = {}
     for start in x.elements:
         if start in visited:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = act(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        visited |= orbit
-        rep = min(orbit)
-        stab = frozenset(g for g in x.group.elements if act(g, rep) == rep)
-        if len(stab) * len(orbit) != x.group.order:
+        found = orbit(x.group, start, act)
+        visited |= found
+        rep = min(found)
+        stab = sum(1 << i for i, g in enumerate(x.group.elements)
+                   if act(g, rep) == rep)
+        if stab.bit_count() * len(found) != x.group.order:
             raise InvalidAction("orbit-stabilizer mismatch: not a group action")
         idx = registry.classify(stab)
         coeffs[idx] = coeffs.get(idx, 0) + 1
@@ -208,10 +222,9 @@ def marks_consistent(x: GSet, belt: BurnsideElement) -> bool:
         total = 0
         for i, c in belt.coeffs.items():
             k = reg.classes[i]
-            kset = k
             transporters = sum(
                 1 for g in group.elements
-                if all(compose(compose(inverse(g), hh), g) in kset for hh in h))
+                if all(compose(compose(inverse(g), hh), g) in k for hh in h))
             total += c * (transporters // len(k))
         if fixed != total:
             return False
@@ -236,14 +249,6 @@ def _bit_indices(bits: int):
     return [i for i, ch in enumerate(reversed(bin(bits))) if ch == "1"]
 
 
-def _conjugate(s, g) -> tuple[int, ...]:
-    """s g s^-1 in one pass: it sends s(i) to s(g(i))."""
-    h = [0] * len(s)
-    for i, gi in enumerate(g):
-        h[s[i]] = s[gi]
-    return tuple(h)
-
-
 class BurnsideContext:
     """Per-(matroid, group) workspace caching FY product decompositions."""
 
@@ -254,8 +259,6 @@ class BurnsideContext:
         self._products: dict = {}
         self._var_stabs = None
         self._stabs: dict = {}  # degree -> stabilizer bitset per FY monomial
-        self._classes: dict = {}  # stabilizer bitset -> (class index, order)
-        self._conj_maps = None
         for g in group.gens:
             ring.var_perm(g)  # fails fast if not automorphisms
 
@@ -306,40 +309,6 @@ class BurnsideContext:
             out.append(h)
         return out
 
-    def _classify(self, bits: int):
-        """(class index, order) of the subgroup with this element bitset."""
-        got = self._classes.get(bits)
-        if got is None:
-            els = self.group.elements
-            idx = self.registry.classify(
-                frozenset(els[i] for i in _bit_indices(bits)))
-            got = (idx, bits.bit_count())
-            # cache the whole conjugacy class, so that only a new class
-            # ever reaches the registry's conjugacy search
-            for conj in self._conjugates(bits):
-                self._classes[conj] = got
-        return got
-
-    def _conjugates(self, bits: int) -> set[int]:
-        """Bitsets of the G-conjugates of a subgroup, by closing under
-        conjugation by the generators."""
-        if self._conj_maps is None:
-            els = self.group.elements
-            index = {g: i for i, g in enumerate(els)}
-            self._conj_maps = [[index[_conjugate(s, g)] for g in els]
-                               for s in self.group.gens]
-        seen = {bits}
-        frontier = [_bit_indices(bits)]
-        while frontier:
-            idxs = frontier.pop()
-            for cmap in self._conj_maps:
-                image = [cmap[i] for i in idxs]
-                conj = sum(1 << i for i in image)
-                if conj not in seen:
-                    seen.add(conj)
-                    frontier.append(image)
-        return seen
-
     def decompose_degrees(self, degrees) -> BurnsideElement:
         # FY^0 is a point, and the product's class does not depend on order
         key = tuple(sorted(d for d in degrees if d != 0)) or (0,)
@@ -354,6 +323,7 @@ class BurnsideContext:
         first, *rest = key
         # a single factor is a product with the point FY^0
         *outer, last = [self._monomial_stabs(k) for k in rest or (0,)]
+        classify = self.registry.classify
         coeffs: dict[int, int] = {}
         for h in self._first_orbits(first):
             counts = Counter()
@@ -361,8 +331,8 @@ class BurnsideContext:
                 counts.update(map(prefix.__and__, last))
             sums: dict[int, int] = {}
             for bits, n in counts.items():
-                idx, order = self._classify(bits)
-                sums[idx] = sums.get(idx, 0) + n * order
+                idx = classify(bits)
+                sums[idx] = sums.get(idx, 0) + n * bits.bit_count()
             h_order = h.bit_count()
             for idx, total in sums.items():
                 orbits, left = divmod(total, h_order)

@@ -674,17 +674,38 @@ def pf2_numeric(seq):
     return True, None
 
 
-def window_minors(seq, size):
-    """Determinants of all size x size Toeplitz minors with consecutive rows
-    and columns (a sufficient evidence battery, not a complete certificate)."""
+def window_minors(seq, level):
+    """Determinants of the Toeplitz windows [seq[delta + j - i]] with
+    consecutive rows and columns (a sufficient evidence battery, not a
+    complete certificate): out[delta][s - 1] is the s x s one, for
+    0 <= delta <= r and s = 1..level. Outside that range the window's first
+    column (delta < 0) or first row (delta > r) is zero, so it has
+    determinant 0. The s x s window at delta is the leading block of the
+    level x level one, so one fraction-free elimination without pivoting
+    gives every size; after a zero pivot the larger sizes come from
+    `bareiss_det`."""
     from .linalg import bareiss_det
     r = len(seq) - 1
     out = []
-    for delta in range(-(size - 1), r + size):
-        entries = [[seq[delta + j - i] if 0 <= delta + j - i <= r else 0
-                    for j in range(size)] for i in range(size)]
-        if any(any(row) for row in entries):
-            out.append((delta, bareiss_det(entries)))
+    for delta in range(r + 1):
+        window = [[seq[delta + j - i] if 0 <= delta + j - i <= r else 0
+                   for j in range(level)] for i in range(level)]
+        m = [row[:] for row in window]
+        dets = []
+        prev = 1
+        for k in range(level):
+            pivot = m[k][k]  # the (k+1) x (k+1) leading minor (Sylvester)
+            dets.append(pivot)
+            if not pivot:
+                dets += [bareiss_det([row[:s] for row in window[:s]])
+                         for s in range(k + 2, level + 1)]
+                break
+            for i in range(k + 1, level):
+                row, f = m[i], m[i][k]
+                for j in range(k + 1, level):
+                    row[j] = (row[j] * pivot - f * m[k][j]) // prev
+            prev = pivot
+        out.append(dets)
     return out
 
 
@@ -745,10 +766,8 @@ def numeric_pf_check(seq, level) -> dict:
         ok = sturm_real_rooted(seq)
         return {"check": "numeric_pf", "level": "inf", "mode": "certificate",
                 "passed": ok, "witness": None}
-    bad = []
-    for size in range(2, level + 1):
-        for delta, det in window_minors(seq, size):
-            if det < 0:
-                bad.append((size, delta, det))
+    dets = window_minors(seq, level)
+    bad = [(size, delta, row[size - 1]) for size in range(2, level + 1)
+           for delta, row in enumerate(dets) if row[size - 1] < 0]
     return {"check": "numeric_pf", "level": level, "mode": "evidence",
             "passed": not bad, "witness": bad or None}

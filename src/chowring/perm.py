@@ -6,6 +6,11 @@ given by generators is closed under products. The automorphism group of a
 matroid comes from a stabilizer chain: one backtrack search per point and
 candidate image finds a coset representative, and the elements are the
 products of one representative per level.
+
+Element conjugacy classes are orbits of the action `conjugate`. Subgroup
+classes are named in `burnside.SubgroupRegistry`, which caches every
+conjugate of each class it meets; `subgroup_invariant` and
+`are_conjugate_subgroups` stay here as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +43,14 @@ def identity(n: int) -> tuple[int, ...]:
 def compose(a, b) -> tuple[int, ...]:
     """(a * b)(x) = a(b(x))."""
     return tuple(a[bx] for bx in b)
+
+
+def conjugate(s, g) -> tuple[int, ...]:
+    """s g s^-1 in one pass: it sends s(i) to s(g(i))."""
+    h = [0] * len(s)
+    for i, gi in enumerate(g):
+        h[s[i]] = s[gi]
+    return tuple(h)
 
 
 def inverse(a) -> tuple[int, ...]:
@@ -142,19 +155,10 @@ class PermGroup:
             unseen = set(self.elements)
             classes = []
             for g in self.elements:  # sorted, so reps come out minimal
-                if g not in unseen:
-                    continue
-                orbit = {g}
-                frontier = [g]
-                while frontier:
-                    x = frontier.pop()
-                    for h in self.gens:
-                        y = compose(compose(h, x), inverse(h))
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
-                unseen -= orbit
-                classes.append((g, frozenset(orbit)))
+                if g in unseen:
+                    cls = frozenset(orbit(self, g, conjugate))
+                    unseen -= cls
+                    classes.append((g, cls))
             self._classes = tuple(classes)
         return self._classes
 
@@ -315,7 +319,7 @@ def stabilizer(group: PermGroup, x, action) -> PermGroup:
 
 
 def subgroup_invariant(group_n: int, elements) -> tuple:
-    """Conjugation-invariant fingerprint of a subgroup."""
+    """Conjugation-invariant fingerprint of a subgroup (test oracle)."""
     types = sorted(cycle_type(g) for g in elements)
     orbits = []
     seen = 0
@@ -338,7 +342,8 @@ def subgroup_invariant(group_n: int, elements) -> tuple:
 
 def are_conjugate_subgroups(G: PermGroup, H, K) -> bool:
     """True iff g H g^-1 = K for some g in G. Invariant prefilter, then an
-    exhaustive transporter search."""
+    exhaustive transporter search. No production path calls it: it is the
+    test oracle for the class map of `burnside.SubgroupRegistry`."""
     hs = frozenset(H.elements if isinstance(H, PermGroup) else H)
     ks = frozenset(K.elements if isinstance(K, PermGroup) else K)
     if hs == ks:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from chowring.burnside import (
@@ -6,10 +8,12 @@ from chowring.burnside import (
     pf2_quadruples, product, young_stabilizer_audit,
 )
 from chowring.chow import chow_ring
+from chowring.cli import main
 from chowring.corpus import corpus_matroid
 from chowring.matroid import boolean, graphic, uniform
-from chowring.perm import (NotFullSymmetricGroup, matroid_automorphisms,
-                           symmetric_group, trivial_group)
+from chowring.perm import (NotFullSymmetricGroup, are_conjugate_subgroups,
+                           conjugate, matroid_automorphisms, symmetric_group,
+                           trivial_group)
 
 
 def ctx_for(m):
@@ -204,16 +208,43 @@ def test_engine_products_pass_marks_audit(doc, key):
     assert marks_consistent(fy_product_gset(ctx.ring, ctx.group, key), belt)
 
 
-def test_engine_caches_whole_conjugacy_classes(monkeypatch):
-    # each new class's conjugates are cached, so on K5 no stabilizer ever
-    # needs the transporter search
-    import chowring.burnside as burnside
-    calls = []
-    real = burnside.are_conjugate_subgroups
-    monkeypatch.setattr(burnside, "are_conjugate_subgroups",
-                        lambda *args: calls.append(args) or real(*args))
-    ctx = ctx_for(corpus_matroid("graphic(K5)"))
+def test_engine_caches_whole_conjugacy_classes(monkeypatch, capsys):
+    # each new class's conjugates are cached, so no stabilizer ever needs the
+    # transporter search or the invariant prefilter; make both raise
+    def refuse(*args):
+        raise AssertionError("conjugacy search in a production path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "chowring" or name.startswith("chowring."):
+            for attr in ("are_conjugate_subgroups", "subgroup_invariant"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for doc in ("graphic(K5)", "graphic(W4)"):
+        for argv in (["burnside", "pf2", doc], ["koszul", "check-3x3", doc]):
+            assert main(argv) == 0, argv
+    for doc in ("uniform(4,6)", "graphic(K5)"):
+        ctx = ctx_for(corpus_matroid(doc))
+        for key in c7_c8_keys(ctx.ring.r):
+            ctx.decompose_degrees(key)
+    assert len(ctx.registry.classes) == 10  # graphic(K5)
+
+
+@pytest.mark.parametrize("doc", ("boolean(4)", "graphic(K4)", "graphic(W4)",
+                                 "graphic(K5)", "uniform(4,6)"))
+def test_class_map_against_transporter_search(doc):
+    ctx = ctx_for(corpus_matroid(doc))
     for key in c7_c8_keys(ctx.ring.r):
         ctx.decompose_degrees(key)
-    assert len(ctx.registry.classes) == 10
-    assert calls == []
+    group, classes = ctx.group, ctx.registry.classes
+    els = group.elements
+    for a in range(len(classes)):
+        for b in range(a):
+            assert not are_conjugate_subgroups(group, classes[a], classes[b])
+    cached = [[] for _ in classes]
+    for bits, idx in ctx.registry._index.items():
+        cached[idx].append(frozenset(g for i, g in enumerate(els)
+                                     if bits >> i & 1))
+    for h, conjugates in zip(classes, cached):
+        normalizer = sum(1 for g in els if all(conjugate(g, x) in h for x in h))
+        assert len(conjugates) == group.order // normalizer
+        assert all(are_conjugate_subgroups(group, h, k) for k in conjugates)

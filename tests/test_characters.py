@@ -5,9 +5,11 @@ from chowring.characters import (
     class_data, cyclotomic_polynomial, gamma_expansion, gamma_reexpand,
     is_genuine, koszul_minor, mn_character_value, numeric_pf_check,
     partitions, perm_character, sturm_real_rooted, toeplitz_minor,
-    trivial_character,
+    trivial_character, window_minors,
 )
 from chowring.chow import chow_ring
+from chowring.corpus import corpus_matroid, corpus_names
+from chowring.linalg import bareiss_det
 from chowring.matroid import boolean, graphic, uniform
 from chowring.perm import (cycle_type, from_cycles, group_from_generators,
                            matroid_automorphisms, symmetric_group)
@@ -186,6 +188,43 @@ def test_gamma_boolean3_burnside_level_fails():
     # gamma_1 = [defining 3-set] - [point]
     coeffs = {ctx.registry.order_of(i): c for i, c in gammas[1].coeffs.items()}
     assert coeffs == {2: 1, 6: -1}
+
+
+def plain_window_det(seq, delta, size):
+    r = len(seq) - 1
+    return bareiss_det([[seq[delta + j - i] if 0 <= delta + j - i <= r else 0
+                         for j in range(size)] for i in range(size)])
+
+
+# [1,1,1,1]: the 2x2 window at delta=1 is singular, so the larger sizes there
+# come from the fallback; [3,1,1,3] and [1,2,1,2,1] have negative windows
+WINDOW_SEQS = sorted({(1, 21, 21, 1), (1, 5, 1), (3, 1, 1, 3), (1, 2, 1, 2, 1),
+                      (1, 1, 1, 1)}
+                     | {tuple(chow_ring(corpus_matroid(doc)).hilbert_function())
+                        for doc in corpus_names()})
+
+
+@pytest.mark.parametrize("seq", WINDOW_SEQS, ids=str)
+def test_window_minors_match_plain_determinants(seq):
+    r = len(seq) - 1
+    dets = window_minors(seq, 8)
+    assert [len(row) for row in dets] == [8] * (r + 1)
+    for size in range(1, 9):
+        for delta in range(-(size - 1), r + size):
+            got = dets[delta][size - 1] if 0 <= delta <= r else 0
+            assert got == plain_window_det(seq, delta, size), (size, delta)
+
+
+@pytest.mark.parametrize("seq", [(1, 21, 21, 1), (1, 5, 1), (3, 1, 1, 3),
+                                 (1, 2, 1, 2, 1), (1, 1, 1, 1)], ids=str)
+def test_window_witnesses_match_plain_determinants(seq):
+    r = len(seq) - 1
+    plain = [(size, delta, det) for size in range(2, 9)
+             for delta in range(-(size - 1), r + size)
+             for det in [plain_window_det(seq, delta, size)] if det < 0]
+    rep = numeric_pf_check(list(seq), 8)
+    assert rep["witness"] == (plain or None)
+    assert rep["passed"] == (not plain)
 
 
 def test_pf_checks_numeric():

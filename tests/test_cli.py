@@ -177,6 +177,15 @@ def test_char_gamma_and_pf(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("level", ["3", "100"])
+def test_char_pf_window_levels(capsys, level):
+    code, out = run(capsys, "--json", "char", "pf", "boolean(3)",
+                    "--level", level)
+    assert code == 0
+    pf = json.loads(out)["pf"]
+    assert pf["level"] == int(level) and pf["passed"] and pf["mode"] == "evidence"
+
+
 def test_char_toeplitz(capsys):
     code, out = run(capsys, "--json", "char", "toeplitz", "boolean(4)",
                     "--composition", "1,1,1")
