@@ -22,7 +22,6 @@ independent oracle the tests check this engine against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import prod
 
 from .chow import ChowRing
@@ -47,12 +46,13 @@ class BadIndices(BurnsideError):
     pass
 
 
-@dataclass
 class GSet:
     """Finite G-set: element list plus an action callable (g, x) -> x."""
-    group: PermGroup
-    elements: tuple
-    act: object
+
+    def __init__(self, group: PermGroup, elements: tuple, act):
+        self.group = group
+        self.elements = elements
+        self.act = act
 
     def __len__(self):
         return len(self.elements)
@@ -125,13 +125,12 @@ class SubgroupRegistry:
         return f"subgroup of order {len(h)} (class {idx})"
 
 
-@dataclass
 class BurnsideElement:
-    registry: SubgroupRegistry
-    coeffs: dict[int, int] = field(default_factory=dict)
+    """Integer combination of the classes of one registry, zeros dropped."""
 
-    def __post_init__(self):
-        self.coeffs = {i: c for i, c in self.coeffs.items() if c}
+    def __init__(self, registry: SubgroupRegistry, coeffs: dict[int, int]):
+        self.registry = registry
+        self.coeffs = {i: c for i, c in coeffs.items() if c}
 
     def __add__(self, other):
         self._same(other)

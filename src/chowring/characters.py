@@ -23,8 +23,6 @@ orthogonality relations before use.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm
 
@@ -178,12 +176,24 @@ def as_rational(v):
 
 # -- class data and class functions -------------------------------------------
 
-@dataclass(frozen=True)
 class ClassData:
-    group: PermGroup
-    reps: tuple            # class representatives
-    sizes: tuple[int, ...]
-    inverse_map: tuple[int, ...]  # index of the class of g^-1
+    __slots__ = ("group", "reps", "sizes", "inverse_map")
+
+    def __init__(self, group: PermGroup, reps: tuple, sizes: tuple[int, ...],
+                 inverse_map: tuple[int, ...]):
+        self.group = group
+        self.reps = reps  # class representatives
+        self.sizes = sizes
+        self.inverse_map = inverse_map  # index of the class of g^-1
+
+    def _key(self):
+        return self.group, self.reps, self.sizes, self.inverse_map
+
+    def __eq__(self, other):
+        return isinstance(other, ClassData) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def class_data(group: PermGroup) -> ClassData:
@@ -247,15 +257,16 @@ class ClassFunction:
     def at_inverse(self, i: int):
         return self.values[self.data.inverse_map[i]]
 
-    def inner(self, other) -> Fraction:
+    def inner(self, other):
+        """The inner product <self, other>, a Fraction."""
         self._same(other)
         total = 0
         for i, size in enumerate(self.data.sizes):
             total = total + size * (self.values[i] * other.at_inverse(i))
         if isinstance(total, Cyc):
             total = total.rational()
-        val = Fraction(total, self.data.group.order)
-        return val
+        from fractions import Fraction
+        return Fraction(total, self.data.group.order)
 
     def __repr__(self):
         return f"ClassFunction{self.values}"
@@ -578,6 +589,16 @@ def is_genuine(chi: ClassFunction, table: CharacterTable):
     return all(m >= 0 for m in mults), mults
 
 
+def character_sequence(ring, group: PermGroup):
+    """The character table of the group and the permutation characters of
+    the graded pieces FY^0, ..., FY^r."""
+    table = character_table(group)
+    data = table.data
+    return table, [perm_character(data, ring.fy_basis(k),
+                                  lambda g, m: ring.act(g, m))
+                   for k in range(ring.r + 1)]
+
+
 # -- Toeplitz and Koszul minors ---------------------------------------------------
 
 def toeplitz_minor(seq, rows, cols):
@@ -680,30 +701,43 @@ def window_minors(seq, level):
     complete certificate): out[delta][s - 1] is the s x s one, for
     0 <= delta <= r and s = 1..level. Outside that range the window's first
     column (delta < 0) or first row (delta > r) is zero, so it has
-    determinant 0. The s x s window at delta is the leading block of the
-    level x level one, so one fraction-free elimination without pivoting
-    gives every size; after a zero pivot the larger sizes come from
+    determinant 0.
+
+    The s x s window at delta is the leading block of the level x level one,
+    so one fraction-free elimination without pivoting gives every size: its
+    k-th pivot is the k x k leading minor d_k. The window is banded, nonzero
+    only for -delta <= j - i <= r - delta. After k steps, a row whose band
+    misses the first k columns, or a column whose band misses the first k
+    rows, still holds its original entries times d_k (Sylvester's
+    identity), so only the (delta + 1) x (r - delta + 1) block at the next
+    pivot is kept. After a zero pivot the larger sizes come from
     `bareiss_det`."""
-    from .linalg import bareiss_det
     r = len(seq) - 1
     out = []
     for delta in range(r + 1):
-        window = [[seq[delta + j - i] if 0 <= delta + j - i <= r else 0
-                   for j in range(level)] for i in range(level)]
-        m = [row[:] for row in window]
+        q = r - delta  # the band's width above the diagonal
+        # block[a][b] is entry (k + a, k + b) after k steps
+        block = [[seq[delta + b - a] for b in range(q + 1)]
+                 for a in range(delta + 1)]
         dets = []
         prev = 1
         for k in range(level):
-            pivot = m[k][k]  # the (k+1) x (k+1) leading minor (Sylvester)
+            pivot = block[0][0]
             dets.append(pivot)
             if not pivot:
+                from .linalg import bareiss_det
+                window = [[seq[delta + j - i] if 0 <= delta + j - i <= r else 0
+                           for j in range(level)] for i in range(level)]
                 dets += [bareiss_det([row[:s] for row in window[:s]])
                          for s in range(k + 2, level + 1)]
                 break
-            for i in range(k + 1, level):
-                row, f = m[i], m[i][k]
-                for j in range(k + 1, level):
-                    row[j] = (row[j] * pivot - f * m[k][j]) // prev
+            top = block[0]
+            # rows k+1..k+delta, with column k+1+q entering the band; then
+            # row k+1+delta entering it
+            block = [[(row[b] * pivot - row[0] * top[b]) // prev
+                      for b in range(1, q + 1)] + [seq[r - a] * pivot]
+                     for a, row in enumerate(block[1:])]
+            block.append([seq[b] * pivot for b in range(q + 1)])
             prev = pivot
         out.append(dets)
     return out

@@ -25,7 +25,6 @@ from math import factorial
 from operator import mul
 
 from .matroid import Matroid, flat_str, members, popcount
-from . import linalg
 
 UNIT = ()
 
@@ -391,6 +390,7 @@ class ChowRing:
         power = self.omega_power(omega, self.r - 2 * k)
         mat = self.mult_matrix(power, k)
         a_k = len(self.fy_basis(k))
+        from . import linalg
         rank = a_k - len(linalg.int_kernel(mat, a_k))
         return {
             "check": "hard_lefschetz", "k": k, "power": self.r - 2 * k,
@@ -428,6 +428,7 @@ class ChowRing:
     def hodge_riemann_check(self, omega: "LefschetzElement", k: int) -> dict:
         if k > self.r / 2:
             raise DegreeOutOfRange(f"k={k} exceeds r/2")
+        from . import linalg
         a_k = len(self.fy_basis(k))
         qmat = self._qform(omega, k)
         if k == 0:
@@ -501,6 +502,7 @@ class ChowRing:
                             row[cid] = row.get(cid, 0) + 1
                 if row:
                     atom_rows.append(row)
+        from . import linalg
         rank = linalg.sparse_int_rank(atom_rows)
         return len(cols) - rank
 

@@ -18,6 +18,11 @@ subcommand's handler `cmd_*(args, ring, group, report)`, which adds its
 fields and returns whether a check failed. `main` then emits the report, as
 JSON or through the renderer the parser attached to the subcommand.
 
+This module imports only the layers every command uses: the matroid, the
+group and the Chow ring. Each handler imports the layers it runs (Burnside,
+Koszul, characters, SCD, the battery, linear algebra) when it is called, so
+a command loads and compiles no module it does not run.
+
 Exit codes: 0 all checks pass, 1 a verified mathematical failure, 2 usage or
 input error.
 """
@@ -32,20 +37,12 @@ import sys
 import time
 
 from . import corpus as corpus_mod
-from . import scd
-from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
-                       young_stabilizer_audit)
-from .characters import (gamma_expansion, is_genuine, koszul_minor,
-                         numeric_pf_check, table_backend, toeplitz_minor)
 from .chow import NotGroupFixed, NotSubmodular, chow_ring, lefschetz_omega
-from .koszul import verify_injection
-from .linalg import bareiss_det
 from .matroid import (MatroidError, Matroid, boolean, flat_str, graphic,
                       mask_of, matroid_from_bases, matroid_from_flats,
                       members, uniform)
 from .perm import (GroupError, group_from_generators, matroid_automorphisms,
                    perm_mask, perm_str)
-from .verify import character_sequence, run_battery
 
 
 class UsageError(Exception):
@@ -228,6 +225,7 @@ def cmd_chow(args, ring, group, report) -> bool:
         report["degree"] = k
         report["basis"] = [ring.mono_str(mo) for mo in ring.fy_basis(k)]
     elif args.what == "pairing":
+        from .linalg import bareiss_det
         dets = {str(k): bareiss_det(ring.pairing_matrix(k))
                 for k in range(ring.r // 2 + 1)}
         report["pairing_determinants"] = dets
@@ -250,6 +248,7 @@ def _degree(args, ring) -> int:
 
 
 def _quadruples(args, ring) -> list:
+    from .burnside import pf2_quadruples
     quads = pf2_quadruples(ring.r)
     if args.quadruple is None:
         return quads
@@ -295,6 +294,7 @@ def _set_str(mask: int) -> str:
 
 
 def cmd_scd(args, ring, group, report) -> bool:
+    from . import scd
     if args.what == "chains":
         rep = scd.verify_scd(ring)
         report["chains"] = [
@@ -325,6 +325,8 @@ def cmd_scd(args, ring, group, report) -> bool:
 
 
 def cmd_burnside(args, ring, group, report) -> bool:
+    from .burnside import (BurnsideContext, pf2_minor_check,
+                           young_stabilizer_audit)
     ctx = BurnsideContext(ring, group)
     if args.what == "decompose":
         k = _degree(args, ring)
@@ -346,6 +348,9 @@ def _int_tuple(text: str):
 
 
 def cmd_char(args, ring, group, report) -> bool:
+    from .characters import (character_sequence, gamma_expansion, is_genuine,
+                             koszul_minor, numeric_pf_check, table_backend,
+                             toeplitz_minor)
     report["table_backend"] = table_backend(group)
     if args.what == "pf":  # reads only the Hilbert function
         try:
@@ -406,6 +411,7 @@ def cmd_char(args, ring, group, report) -> bool:
 
 
 def cmd_koszul(args, ring, group, report) -> bool:
+    from .koszul import verify_injection
     which = "2x2" if args.what == "check-2x2" else "3x3"
     rep = verify_injection(ring, group, which=which)
     report["passed"] = rep["passed"]
@@ -422,6 +428,7 @@ def cmd_koszul(args, ring, group, report) -> bool:
 
 
 def cmd_verify(args, ring, group, report) -> bool:
+    from .verify import run_battery
     t0 = time.perf_counter()
     results = run_battery(ring.matroid, group, deep=args.deep, seed=args.seed)
     report["checks"] = [r.to_dict(with_timing=args.timings) for r in results]

@@ -28,10 +28,9 @@ image), built once, instead of acting on every monomial for every generator.
 from __future__ import annotations
 
 import operator
+import os
 import re
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from itertools import combinations
 
 from .chow import ChowRing, mono_degree, mono_mul
@@ -140,15 +139,28 @@ _GUARD_VALUE = {
 _COMPARE = {"=": operator.eq, ">=": operator.ge, "!=": operator.ne}
 
 
-@dataclass(frozen=True)
 class CaseRule:
-    side: str                 # "A" or "B"
-    comp1: tuple              # ((letter, exp), ...)
-    comp2: tuple
-    guards: tuple             # ((kind, letters, op, bound), ...)
-    target_kind: str          # "triple" or "monomial"
-    target: tuple             # letters
-    line: str
+    __slots__ = ("side", "comp1", "comp2", "guards", "target_kind", "target",
+                 "line")
+
+    def __init__(self, side, comp1, comp2, guards, target_kind, target, line):
+        self.side = side                # "A" or "B"
+        self.comp1 = comp1              # ((letter, exp), ...)
+        self.comp2 = comp2
+        self.guards = guards            # ((kind, letters, op, bound), ...)
+        self.target_kind = target_kind  # "triple" or "monomial"
+        self.target = target            # letters
+        self.line = line
+
+    def _key(self):
+        return (self.side, self.comp1, self.comp2, self.guards,
+                self.target_kind, self.target, self.line)
+
+    def __eq__(self, other):
+        return isinstance(other, CaseRule) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def shape(self):
@@ -217,9 +229,10 @@ def parse_rules(text: str) -> tuple[CaseRule, ...]:
 
 @cache
 def rules_3x3() -> tuple[CaseRule, ...]:
-    text = resources.files("chowring.data").joinpath(
-        "koszul_3x3_rules.txt").read_text()
-    return parse_rules(text)
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "koszul_3x3_rules.txt")
+    with open(path, encoding="utf-8") as fh:
+        return parse_rules(fh.read())
 
 
 @cache

@@ -3,7 +3,8 @@
 The program's checks use the fraction-free routines: `int_kernel` (kernel
 and rank), `int_positive_definite`, `bareiss_det` and `sparse_int_rank`.
 `frac_rank`, `frac_kernel` and `symmetric_positive_definite` compute the same
-things over Q with `Fraction` and serve as oracles in the tests. Dense
+things over Q with `Fraction` and serve as oracles in the tests; each imports
+`fractions` itself, so the integer routines never load it. Dense
 routines take lists of lists; the sparse rank routine takes rows as
 {column: int} dicts. Pivots prefer small entries (minimal bit length) so
 intermediate swell stays bounded at desk scale.
@@ -11,7 +12,6 @@ intermediate swell stays bounded at desk scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -22,6 +22,7 @@ def _pivot_key(value):
 
 def frac_rank(rows) -> int:
     """Rank over Q; destroys nothing (copies input)."""
+    from fractions import Fraction
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return 0
@@ -53,8 +54,9 @@ def frac_rank(rows) -> int:
     return rank
 
 
-def frac_kernel(rows, ncols) -> list[list[Fraction]]:
-    """Basis of {v : M v = 0} over Q, integer-cleared vectors."""
+def frac_kernel(rows, ncols) -> list[list]:
+    """Basis of {v : M v = 0} over Q, integer-cleared vectors of Fractions."""
+    from fractions import Fraction
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []  # (row, col)
     row = 0
@@ -187,6 +189,7 @@ def symmetric_positive_definite(matrix) -> tuple[bool, int | None]:
     """Exact positive-definiteness certificate for a symmetric rational matrix:
     all leading principal minors positive (Bareiss sequence, no pivoting).
     Returns (is_pd, index of first failing minor or None)."""
+    from fractions import Fraction
     n = len(matrix)
     m = [[Fraction(x) for x in row] for row in matrix]
     for i in range(n):

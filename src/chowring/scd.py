@@ -20,8 +20,6 @@ translate to and from a matroid's flats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import ChowRing, mono_degree
 
 DASH = "-"
@@ -41,17 +39,33 @@ class DegreeTooHigh(SCDError):
     pass
 
 
-@dataclass(frozen=True)
 class DotDashDiagram:
-    cells: tuple[str, ...]  # over DASH, BULLET, BLANK; index p-1 = position p
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: tuple[str, ...]):
+        self.cells = cells  # over DASH, BULLET, BLANK; index p-1 = position p
+
+    def __eq__(self, other):
+        return isinstance(other, DotDashDiagram) and self.cells == other.cells
+
+    def __hash__(self):
+        return hash(self.cells)
 
     def __str__(self):
         return "".join(self.cells)
 
 
-@dataclass(frozen=True)
 class ParenSequence:
-    symbols: tuple[str, ...]  # "(" or ")"
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[str, ...]):
+        self.symbols = symbols  # "(" or ")"
+
+    def __eq__(self, other):
+        return isinstance(other, ParenSequence) and self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash(self.symbols)
 
     def __str__(self):
         return "".join(self.symbols)
@@ -60,11 +74,22 @@ class ParenSequence:
         return pair_parentheses(self.symbols)
 
 
-@dataclass(frozen=True)
 class SymmetricChain:
-    support: tuple[int, ...]  # flats, E last
-    pairs: tuple[tuple[int, int], ...]
-    monomials: tuple  # FY monomials, ascending degree
+    __slots__ = ("support", "pairs", "monomials")
+
+    def __init__(self, support: tuple[int, ...], pairs: tuple, monomials: tuple):
+        self.support = support  # flats, E last
+        self.pairs = pairs  # matched (open, close) positions
+        self.monomials = monomials  # FY monomials, ascending degree
+
+    def _key(self):
+        return self.support, self.pairs, self.monomials
+
+    def __eq__(self, other):
+        return isinstance(other, SymmetricChain) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rho(self) -> int:

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import scd
 from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
                        young_stabilizer_audit)
-from .characters import (character_table, gamma_expansion, gamma_reexpand,
-                         is_genuine, koszul_minor, numeric_pf_check,
-                         perm_character, toeplitz_minor)
+from .characters import (character_sequence, gamma_expansion,
+                         gamma_reexpand, is_genuine, koszul_minor,
+                         numeric_pf_check, toeplitz_minor)
 from .chow import ChowRing, chow_ring, lefschetz_omega, mono_mul
 from .koszul import verify_injection
 from .matroid import Matroid
@@ -46,14 +45,15 @@ KAHLER_MIDDLE_CAP = 200
 ORACLE_GROUND_CAP = 6
 
 
-@dataclass
 class CheckResult:
-    battery: str
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    known_gap: str | None = None
-    elapsed: float = 0.0
+    def __init__(self, battery: str, name: str, passed: bool, details: dict,
+                 known_gap: str | None, elapsed: float):
+        self.battery = battery
+        self.name = name
+        self.passed = passed
+        self.details = details
+        self.known_gap = known_gap
+        self.elapsed = elapsed
 
     def to_dict(self, with_timing=False):
         out = {"battery": self.battery, "name": self.name, "passed": self.passed,
@@ -284,16 +284,6 @@ def check_koszul(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool, dict
         "minor_witness": rep3.get("minor_witness"),
     }
     return rep2["passed"] and rep3["passed"], details
-
-
-def character_sequence(ring: ChowRing, group: PermGroup):
-    """The character table of the group and the permutation characters of
-    the graded pieces FY^0, ..., FY^r."""
-    table = character_table(group)
-    data = table.data
-    return table, [perm_character(data, ring.fy_basis(k),
-                                  lambda g, m: ring.act(g, m))
-                   for k in range(ring.r + 1)]
 
 
 def check_gamma(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:

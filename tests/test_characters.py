@@ -215,6 +215,19 @@ def test_window_minors_match_plain_determinants(seq):
             assert got == plain_window_det(seq, delta, size), (size, delta)
 
 
+@pytest.mark.parametrize("level", [2, 3, 5, 12])
+@pytest.mark.parametrize("seq", [(1, 21, 21, 1), (1, 5, 1), (3, 1, 1, 3),
+                                 (1, 2, 1, 2, 1), (1, 1, 1, 1),
+                                 (1, 26, 66, 26, 1), (2,), (1, 3)], ids=str)
+def test_banded_window_minors_match_each_window(seq, level):
+    """The banded elimination keeps only the block at the pivot; every size
+    at every offset must still equal the window's own determinant."""
+    dets = window_minors(seq, level)
+    assert dets == [[plain_window_det(seq, delta, size)
+                     for size in range(1, level + 1)]
+                    for delta in range(len(seq))]
+
+
 @pytest.mark.parametrize("seq", [(1, 21, 21, 1), (1, 5, 1), (3, 1, 1, 3),
                                  (1, 2, 1, 2, 1), (1, 1, 1, 1)], ids=str)
 def test_window_witnesses_match_plain_determinants(seq):

@@ -186,6 +186,14 @@ def test_char_pf_window_levels(capsys, level):
     assert pf["level"] == int(level) and pf["passed"] and pf["mode"] == "evidence"
 
 
+def test_char_pf_high_level_on_boolean5(capsys):
+    code, out = run(capsys, "--json", "char", "pf", "boolean(5)",
+                    "--level", "200")
+    assert code == 0
+    pf = json.loads(out)["pf"]
+    assert pf["level"] == 200 and pf["passed"] and pf["mode"] == "evidence"
+
+
 def test_char_toeplitz(capsys):
     code, out = run(capsys, "--json", "char", "toeplitz", "boolean(4)",
                     "--composition", "1,1,1")
@@ -360,3 +368,81 @@ def test_closed_reader_keeps_the_verdict(unbuffered, argv, verdict):
         os.close(write_end)
     assert proc.stderr.decode() == ""
     assert proc.returncode == verdict
+
+
+# -- what a command imports ------------------------------------------------------
+
+# Runs `python -m chowring ARGV` as __main__ (or only imports chowring.cli if
+# ARGV is empty), then prints the exit code and the loaded modules to stderr.
+_LOADED = """
+import json, runpy, sys
+code = None
+if sys.argv[1:]:
+    try:
+        runpy.run_module("chowring", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import chowring.cli
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}),
+      file=sys.stderr)
+"""
+
+
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _loaded_modules(*argv):
+    """(exit code, modules) of a fresh interpreter without site, so that
+    only chowring decides what is loaded."""
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADED, *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    last = proc.stderr.strip().splitlines()[-1]
+    got = json.loads(last)
+    return got["exit"], set(got["modules"])
+
+
+_UNUSED_BY_BURNSIDE = {"chowring.characters", "chowring.scd", "chowring.verify",
+                       "chowring.linalg", "dataclasses", "fractions"}
+
+
+def test_cli_import_loads_no_handler_layer():
+    _, modules = _loaded_modules()
+    assert "chowring.cli" in modules
+    assert modules & (_UNUSED_BY_BURNSIDE | {"chowring.burnside",
+                                             "chowring.koszul"}) == set()
+
+
+@pytest.mark.parametrize("argv, verdict, layers", [
+    (("burnside", "pf2", "graphic(K4)", "--json"), 0, {"chowring.burnside"}),
+    # rank 3: the documented 3x3 gap
+    (("koszul", "check-3x3", "graphic(K4)"), 1,
+     {"chowring.burnside", "chowring.koszul"}),
+], ids=["burnside pf2", "koszul check-3x3"])
+def test_burnside_commands_load_only_their_layers(argv, verdict, layers):
+    code, modules = _loaded_modules(*argv)
+    assert code == verdict
+    assert layers <= modules
+    assert modules & _UNUSED_BY_BURNSIDE == set()
+
+
+@pytest.mark.parametrize("argv, span", [
+    (("koszul", "check-3x3", "graphic(K4)", "--json"), "koszul.injection"),
+    (("verify", "all", "boolean(3)", "--json"), "verify.C7"),
+], ids=["koszul check-3x3", "verify all"])
+def test_traced_run_records_handler_layer_spans(argv, span):
+    """The benchmark's tracer wraps module functions before `main` runs; a
+    handler that imports its layer when called must get the wrappers."""
+    child = ROOT / "perfbench" / "child.py"
+    proc = subprocess.run([sys.executable, str(child), "trace", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert span in report["names"]
+    assert report["exit"] == 1  # both are rank 3, with the documented gap
