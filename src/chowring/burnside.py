@@ -296,12 +296,14 @@ class BurnsideContext:
     def _first_orbits(self, k: int) -> list[int]:
         """Stabilizer bitset of the first monomial, in basis order, of each
         G-orbit on FY^k."""
+        stabs = self._monomial_stabs(k)  # empty above degree r
+        moves = {g: self.ring.fy_perm(g, k) for g in self.group.gens if stabs}
         seen = set()
         out = []
-        for mono, h in zip(self._basis(k), self._monomial_stabs(k)):
-            if mono in seen:
+        for i, h in enumerate(stabs):
+            if i in seen:
                 continue
-            found = orbit(self.group, mono, self.ring.act)
+            found = orbit(self.group, i, lambda g, j: moves[g][j])
             seen |= found
             if h.bit_count() * len(found) != self.group.order:
                 raise InvalidAction("orbit-stabilizer mismatch: not a group action")

@@ -591,12 +591,12 @@ def is_genuine(chi: ClassFunction, table: CharacterTable):
 
 def character_sequence(ring, group: PermGroup):
     """The character table of the group and the permutation characters of
-    the graded pieces FY^0, ..., FY^r."""
+    the graded pieces FY^0, ..., FY^r, as fixed FY ids."""
     table = character_table(group)
     data = table.data
-    return table, [perm_character(data, ring.fy_basis(k),
-                                  lambda g, m: ring.act(g, m))
-                   for k in range(ring.r + 1)]
+    return table, [perm_character(data, range(a_k),
+                                  lambda g, i, k=k: ring.fy_perm(g, k)[i])
+                   for k, a_k in enumerate(ring.hilbert_function())]
 
 
 # -- Toeplitz and Koszul minors ---------------------------------------------------

@@ -15,12 +15,17 @@ F_1 < ... < F_l with exponents m_i <= rk(F_i) - rk(F_{i-1}) - 1.
 Monomials are tuples ((vi, exp), ...) over variable indices sorted by
 ascending rank (the flag read bottom-up); the monomial order is graded lex
 over the variable order "lower rank = larger variable".
+
+An FY monomial's id is its position in `fy_basis(k)`, and `fy_index(k)` maps
+the FY monomials of degree k, and only those, to their ids. A matroid
+automorphism permutes the FY monomials of each degree, so the Chow ring is a
+permutation representation; `fy_perm(g, k)` is that permutation on the ids
+of FY^k, built from `act` and checked to be one.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from math import factorial
 from operator import mul
 
@@ -121,8 +126,10 @@ class ChowRing:
                   if j != i and self.vars[i] & self.vars[j] == self.vars[i])
             for i in range(self.nvars))
         self._fy_by_degree = None
+        self._fy_index: dict = {}
         self._nf_cache: dict = {}
         self._var_perm: dict = {}
+        self._fy_perm: dict = {}
         self._omega_powers: dict = {}
 
     # -- monomial helpers ---------------------------------------------------
@@ -194,6 +201,14 @@ class ChowRing:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.r}")
         self._build_fy()
         return self._fy_by_degree[k]
+
+    def fy_index(self, k: int) -> dict:
+        """FY monomial of degree k -> its id, its position in fy_basis(k)."""
+        got = self._fy_index.get(k)
+        if got is None:
+            got = {m: i for i, m in enumerate(self.fy_basis(k))}
+            self._fy_index[k] = got
+        return got
 
     def fy_all(self):
         self._build_fy()
@@ -373,14 +388,13 @@ class ChowRing:
         """Matrix (rows = target FY basis) of a |-> a * elem on FY^k."""
         d = elem.degree()
         src = self.fy_basis(k)
-        tgt = self.fy_basis(k + d)
-        tgt_index = {m: i for i, m in enumerate(tgt)}
+        tgt = self.fy_index(k + d)
         cols = []
         for a in src:
             col = [0] * len(tgt)
             for m, c in elem.terms.items():
                 for m2, c2 in self.nf_monomial(mono_mul(a, m)).items():
-                    col[tgt_index[m2]] += c * c2
+                    col[tgt[m2]] += c * c2
             cols.append(col)
         return [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
 
@@ -531,30 +545,18 @@ class ChowRing:
         vp = self.var_perm(g)
         return tuple((vp[vi], e) for vi, e in mono)
 
-    def act_element(self, g, a: "ChowElement") -> "ChowElement":
-        return ChowElement(self, {self.act(g, m): c for m, c in a.terms.items()})
-
-    def verify_permutation_action(self, group, samples=25, seed=0) -> dict:
-        failures = []
-        for k in range(self.r + 1):
-            basis = set(self.fy_basis(k))
-            for g in group.gens:
-                for m in basis:
-                    if self.act(g, m) not in basis:
-                        failures.append(("closure", k, g, self.mono_str(m)))
-        rng = random.Random(seed)
-        pool = [m for b in self.fy_all() for m in b if mono_degree(m) * 2 <= self.r + 1]
-        gens = list(group.gens) or []
-        for _ in range(samples if gens and pool else 0):
-            a, b = rng.choice(pool), rng.choice(pool)
-            g = rng.choice(gens)
-            lhs = self.normal_form({mono_mul(self.act(g, a), self.act(g, b)): 1})
-            rhs = self.act_element(g, self.normal_form({mono_mul(a, b): 1}))
-            if lhs.terms != rhs.terms:
-                failures.append(("multiplicativity", g,
-                                 self.mono_str(a), self.mono_str(b)))
-        return {"check": "permutation_action", "passed": not failures,
-                "failures": failures}
+    def fy_perm(self, g, k: int) -> tuple[int, ...]:
+        """The permutation g induces on the ids of FY^k: entry i is the id of
+        g . fy_basis(k)[i]. Raises NotAnFYMonomial unless g permutes FY^k."""
+        got = self._fy_perm.get((g, k))
+        if got is None:
+            index = self.fy_index(k)
+            got = tuple([index.get(self.act(g, m), -1) for m in self.fy_basis(k)])
+            if -1 in got or len(set(got)) != len(got):
+                raise NotAnFYMonomial(f"{g} does not permute the FY monomials "
+                                      f"of degree {k}")
+            self._fy_perm[(g, k)] = got
+        return got
 
 
 class ChowElement:

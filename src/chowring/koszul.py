@@ -20,9 +20,8 @@ rank and exponent of each factor, and the pairwise relations of the factor
 flats. That is everything a binding and a guard can read, so
 `CaseMap.matches` memoises the matching rules per type, with their letter ->
 factor position maps, and every other source of the type only rebuilds its
-bindings. The equivariance sweeps of both checks move sources and images by
-lookup in one move table per generator (`move_tables`: FY monomial -> its
-image), built once, instead of acting on every monomial for every generator.
+bindings. The equivariance sweeps of both checks key sources and images by FY
+ids and move them with `ChowRing.fy_perm`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import operator
 import os
 import re
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .chow import ChowRing, mono_degree, mono_mul
 from .burnside import BurnsideContext, burnside_geq
@@ -68,47 +67,29 @@ def injection_2x2(ring: ChowRing, j: int, k: int, mono):
     raise DegreeMismatch("exponents sum below j")
 
 
-class _MoveTable(dict):
-    """One generator's move table: FY monomial -> its image under g. A
-    monomial outside the table, such as an image that is not FY, is moved by
-    ChowRing.act instead."""
-
-    def __init__(self, ring: ChowRing, g, monos):
-        super().__init__((mono, ring.act(g, mono)) for mono in monos)
-        self.ring = ring
-        self.g = g
-
-    def __missing__(self, mono):
-        return self.ring.act(self.g, mono)
-
-
-def move_tables(ring: ChowRing, group, degrees):
-    """(g, move table) for each generator of the group, over the FY
-    monomials of the given degrees."""
-    monos = [mono for d in degrees if d <= ring.r for mono in ring.fy_basis(d)]
-    return [(g, _MoveTable(ring, g, monos)) for g in group.gens]
-
-
-def verify_2x2(ring: ChowRing, moves, j: int, k: int) -> dict:
+def verify_2x2(ring: ChowRing, group, j: int, k: int) -> dict:
     """Totality, FY-validity of both factors, product-inverse, equivariance
-    under each generator of `moves` (as built by `move_tables`)."""
+    under each generator of the group. A split with a factor that is not FY
+    is reported as invalid and left out of the equivariance sweep."""
     failures = []
     if j + k > ring.r:
         return {"check": "injection_2x2", "jk": (j, k), "domain": 0,
                 "passed": True, "failures": []}
     domain = ring.fy_basis(j + k)
-    fy_j = set(ring.fy_basis(j))
-    fy_k = set(ring.fy_basis(k))
-    splits = [injection_2x2(ring, j, k, a) for a in domain]
-    for a, (b, c) in zip(domain, splits):
-        if b not in fy_j or c not in fy_k:
+    ids_j, ids_k = ring.fy_index(j), ring.fy_index(k)
+    splits = []  # ids of the two factors, None for one that is not FY
+    for a in domain:
+        b, c = injection_2x2(ring, j, k, a)
+        splits.append((ids_j.get(b), ids_k.get(c)))
+        if None in splits[-1]:
             failures.append(("invalid_factor", ring.mono_str(a)))
         if mono_mul(b, c) != a:
             failures.append(("not_inverse", ring.mono_str(a)))
-    for g, move in moves:
-        for a, (b, c) in zip(domain, splits):
-            if injection_2x2(ring, j, k, move[a]) != (move[b], move[c]):
-                failures.append(("not_equivariant", g, ring.mono_str(a)))
+    for g in group.gens:
+        move, move_j, move_k = (ring.fy_perm(g, d) for d in (j + k, j, k))
+        for i, (b, c) in enumerate(splits):
+            if None not in (b, c) and splits[move[i]] != (move_j[b], move_k[c]):
+                failures.append(("not_equivariant", g, ring.mono_str(domain[i])))
     return {"check": "injection_2x2", "jk": (j, k), "domain": len(domain),
             "passed": not failures, "failures": failures}
 
@@ -350,8 +331,7 @@ def verify_injection(ring: ChowRing, group, which="3x3",
     source), valid images, global injectivity, equivariance; then compare the
     3x3 Burnside minor against an independent direct decomposition."""
     if which == "2x2":
-        moves = move_tables(ring, group, range(ring.r + 1))
-        reports = [verify_2x2(ring, moves, j, k)
+        reports = [verify_2x2(ring, group, j, k)
                    for j in range(ring.r + 1) for k in range(ring.r + 1 - j)]
         return {"check": "injection_2x2_all",
                 "passed": all(rep["passed"] for rep in reports),
@@ -359,52 +339,56 @@ def verify_injection(ring: ChowRing, group, which="3x3",
 
     cmap = CaseMap(ring)
     r = ring.r
-    fy1 = ring.fy_basis(1) if r >= 1 else ()
-    fy2 = ring.fy_basis(2) if r >= 2 else ()
-    fy3 = set(ring.fy_basis(3)) if r >= 3 else set()
-    fy1_set = set(fy1)
-    domain = [("A", a, b) for a in fy1 for b in fy2] + \
-             [("B", b, a) for b in fy2 for a in fy1]
+    fy = {d: ring.fy_basis(d) if d <= r else () for d in (1, 2)}
+    ids1 = ring.fy_index(1) if r >= 1 else {}
+    ids3 = ring.fy_index(3) if r >= 3 else {}
+    sides = (("A", 1, 2), ("B", 2, 1))  # the degrees of the two factors
     unmatched = []
     ambiguous = []
     invalid = []
-    images: dict = {}
-    image_of: dict = {}
+    # per side: (ids of the factors) -> (kind, *ids of the image), FY images only
+    image_of: dict = {"A": {}, "B": {}}
+    images: dict = {}  # (kind, *ids of the image) -> the first source mapped there
     collisions = []
-    for src in domain:
-        side, c1, c2 = src
-        found = cmap.matches(side, c1, c2)
-        if not found:
-            unmatched.append(src)
-            continue
-        if len(found) > 1:
-            ambiguous.append((src, [rule.line for rule, _ in found]))
-            continue
-        img = cmap.image(*found[0])
-        kind, payload = img
-        valid = (all(p in fy1_set for p in payload) if kind == "T"
-                 else payload in fy3)
-        if not valid:
-            invalid.append((src, img))
-        image_of[src] = img
-        if img in images:
-            collisions.append((images[img], src, img))
-        else:
-            images[img] = src
-    equi_failures = []
-    for g, move in move_tables(ring, group, (1, 2, 3)):
-        for src, (kind, payload) in image_of.items():
-            side, c1, c2 = src
-            if kind == "T":
-                a, b, c = payload
-                moved = ("T", (move[a], move[b], move[c]))
+    for side, d1, d2 in sides:
+        for (i, c1), (j, c2) in product(enumerate(fy[d1]), enumerate(fy[d2])):
+            src = (side, c1, c2)
+            found = cmap.matches(*src)
+            if not found:
+                unmatched.append(src)
+                continue
+            if len(found) > 1:
+                ambiguous.append((src, [rule.line for rule, _ in found]))
+                continue
+            img = cmap.image(*found[0])
+            kind, payload = img
+            key = ((kind, *map(ids1.get, payload)) if kind == "T"
+                   else (kind, ids3.get(payload)))
+            if None in key:
+                invalid.append((src, img))
+                continue
+            image_of[side][i, j] = key
+            if key in images:
+                collisions.append((images[key], src, img))
             else:
-                moved = ("M", move[payload])
-            if moved != image_of.get((side, move[c1], move[c2])):
-                equi_failures.append((g, src))
+                images[key] = src
+    equi_failures = []
+    for g in group.gens:
+        move = {d: ring.fy_perm(g, d) for d in (1, 2, 3) if d <= r}
+        move1, move3 = move.get(1), move.get(3)
+        for side, d1, d2 in sides:
+            side_images = image_of[side]
+            move_i, move_j = move.get(d1), move.get(d2)
+            for (i, j), img in side_images.items():
+                if img[0] == "T":
+                    moved = ("T", move1[img[1]], move1[img[2]], move1[img[3]])
+                else:
+                    moved = ("M", move3[img[1]])
+                if side_images.get((move_i[i], move_j[j])) != moved:
+                    equi_failures.append((g, (side, fy[d1][i], fy[d2][j])))
     report = {
         "check": "injection_3x3",
-        "domain": len(domain),
+        "domain": 2 * len(fy[1]) * len(fy[2]),
         "unmatched": unmatched,
         "ambiguous": ambiguous,
         "invalid": invalid,

@@ -363,14 +363,24 @@ def verify_scd(ring: ChowRing) -> dict:
             "failures": failures}
 
 
-def verify_equivariance(ring: ChowRing, group, mapping, domain) -> dict:
-    """mapping(g . a) == g . mapping(a) for all generators and all a."""
+def id_table(ring: ChowRing, mapping, k: int, target: int) -> list:
+    """mapping (lambda_map or pi_map) on FY^k as ids: entry i is the FY^target
+    id of the image of fy_basis(k)[i], or None where that image is not an FY
+    monomial of degree target."""
+    index = ring.fy_index(target)
+    return [index.get(mapping(ring, mono)) for mono in ring.fy_basis(k)]
+
+
+def verify_equivariance(ring: ChowRing, group, table, k: int,
+                        target: int) -> dict:
+    """table[g . i] == g . table[i] for all generators and all ids i of FY^k,
+    where table (from `id_table`) maps FY^k ids to FY^target ids; entries
+    that are None are left out."""
     failures = []
     for g in group.gens:
-        for a in domain:
-            lhs = mapping(ring.act(g, a))
-            rhs = ring.act(g, mapping(a))
-            if lhs != rhs:
-                failures.append((g, ring.mono_str(a)))
+        move, move_target = ring.fy_perm(g, k), ring.fy_perm(g, target)
+        for i, t in enumerate(table):
+            if t is not None and table[move[i]] != move_target[t]:
+                failures.append((g, ring.mono_str(ring.fy_basis(k)[i])))
     return {"check": "equivariance", "passed": not failures,
             "failures": failures}

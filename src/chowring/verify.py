@@ -153,32 +153,27 @@ def check_scd(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:
     failures = list(rep["failures"])
     r = ring.r
     for k in range((r + 1) // 2):
-        basis = ring.fy_basis(k)
-        images = {}
-        for m in basis:
-            im = scd.lambda_map(ring, m)
-            if im in images:
-                failures.append(("lambda_not_injective", k))
-            images[im] = m
-            if im not in set(ring.fy_basis(k + 1)):
+        table = scd.id_table(ring, scd.lambda_map, k, k + 1)
+        seen = set()
+        for t in table:
+            if t is None:
                 failures.append(("lambda_image_invalid", k))
-        eq = scd.verify_equivariance(ring, group,
-                                     lambda m: scd.lambda_map(ring, m), basis)
+            elif t in seen:
+                failures.append(("lambda_not_injective", k))
+            seen.add(t)
+        eq = scd.verify_equivariance(ring, group, table, k, k + 1)
         if not eq["passed"]:
             failures.append(("lambda_not_equivariant", k, eq["failures"][:3]))
-    for k in range(r + 1):
-        basis = ring.fy_basis(k)
-        target = set(ring.fy_basis(r - k))
+    pi = [scd.id_table(ring, scd.pi_map, k, r - k) for k in range(r + 1)]
+    for k, table in enumerate(pi):
         seen = set()
-        for m in basis:
-            im = scd.pi_map(ring, m)
-            if im not in target or im in seen:
+        for i, t in enumerate(table):
+            if t is None or t in seen:
                 failures.append(("pi_not_bijective", k))
-            seen.add(im)
-            if scd.pi_map(ring, im) != m:
+            seen.add(t)
+            if t is not None and pi[r - k][t] != i:
                 failures.append(("pi_not_involutive", k))
-        eq = scd.verify_equivariance(ring, group,
-                                     lambda m: scd.pi_map(ring, m), basis)
+        eq = scd.verify_equivariance(ring, group, table, k, r - k)
         if not eq["passed"]:
             failures.append(("pi_not_equivariant", k))
     return not failures, {"chains": rep["chains"], "failures": failures[:8]}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from chowring.chow import (
     ChowError, ChowRing, DegreeOutOfRange, LefschetzElement, NotAnFYMonomial,
     NotSubmodular, NotTopDegree, UnknownVariable, check_submodular, chow_ring,
-    default_coefficient_rule, lefschetz_omega, mono_mul,
+    default_coefficient_rule, lefschetz_omega, mono_degree, mono_mul,
 )
-from chowring.corpus import corpus_matroid
+from chowring.corpus import corpus_matroid, corpus_names
 from chowring.linalg import (bareiss_det, frac_kernel, frac_rank,
                              symmetric_positive_definite)
 from chowring.matroid import boolean, mask_of, matroid_from_bases, uniform
@@ -272,12 +273,45 @@ def test_act_and_verify_permutation_action():
     mono = ring.monomial([(mask_of([0, 2]), 1), (m.full, 1)])
     image = ring.act(g, mono)
     assert ring.mono_str(image) == "x_23*x_E"
-    rep = ring.verify_permutation_action(group, samples=10, seed=1)
-    assert rep["passed"]
+    # the action is multiplicative: g.(ab) reduces to g.(the normal form of ab)
+    rng = random.Random(1)
+    pool = [mo for basis in ring.fy_all() for mo in basis
+            if mono_degree(mo) * 2 <= ring.r + 1]
+    for _ in range(10):
+        a, b = rng.choice(pool), rng.choice(pool)
+        h = rng.choice(group.gens)
+        lhs = ring.normal_form({mono_mul(ring.act(h, a), ring.act(h, b)): 1})
+        rhs = ring.normal_form({mono_mul(a, b): 1})
+        assert lhs.terms == {ring.act(h, mo): c for mo, c in rhs.terms.items()}
     # orbit of x_ij x_E inside degree 2 has size 10
     from chowring.perm import orbit
     orb = orbit(group, mono, lambda p, mo: ring.act(p, mo))
     assert len(orb) == 10
+
+
+@pytest.mark.parametrize("name", [
+    name for name in corpus_names() if corpus_matroid(name).n <= 6
+] + ["graphic(W4)", "graphic(K5)"])
+def test_fy_perm_is_the_action_on_ids(name):
+    m = corpus_matroid(name)
+    ring = chow_ring(m)
+    for g in matroid_automorphisms(m).gens:
+        for k in range(ring.r + 1):
+            basis, index = ring.fy_basis(k), ring.fy_index(k)
+            assert index == {mo: i for i, mo in enumerate(basis)}
+            perm = ring.fy_perm(g, k)
+            assert sorted(perm) == list(range(len(basis)))
+            assert perm == tuple(index[ring.act(g, mo)] for mo in basis)
+
+
+def test_fy_perm_rejects_an_action_that_is_not_a_permutation(monkeypatch):
+    ring = ChowRing(uniform(3, 4))  # a ring of its own: fy_perm memoises
+    g = from_cycles(4, [(0, 1)])
+    first = ring.fy_basis(1)[0]
+    monkeypatch.setattr(ring, "act", lambda h, mo: first if mo else mo)
+    assert ring.fy_perm(g, 0) == (0,)
+    with pytest.raises(NotAnFYMonomial):
+        ring.fy_perm(g, 1)
 
 
 def test_act_rejects_non_automorphism():
@@ -289,6 +323,8 @@ def test_act_rejects_non_automorphism():
     mk4e = graphic([(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
     rk4 = chow_ring(mk4e)
     bad = from_cycles(5, [(0, 3)])
+    with pytest.raises(NotAnFYMonomial):
+        rk4.fy_perm(bad, 1)
     with pytest.raises(NotAnFYMonomial):
         rk4.var_perm(bad)
 

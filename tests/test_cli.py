@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -74,12 +76,48 @@ def test_bad_document_exit_2(capsys):
     ("char", "toeplitz", "boolean(3)", "--composition", "0,1"),
     ("char", "pf", "boolean(3)", "--level", "x"),
     ("char", "pf", "boolean(3)", "--level", "0"),
+    ("char", "pf", "boolean(3)", "--level", "1001"),
 ])
 def test_input_errors_exit_2(capsys, argv):
     code = main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+
+
+def _generated_documents(seed=1, count=24):
+    """Small random bases documents (n <= 4; some fail basis exchange or
+    have loops), each also with one character deleted or replaced, which
+    mostly makes malformed JSON."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        subsets = [list(c) for c in combinations(range(1, n + 1),
+                                                 rng.randint(0, n))]
+        bases = rng.sample(subsets, rng.randint(1, len(subsets)))
+        doc = json.dumps({"ground_set": n, "bases": bases})
+        cut = rng.randrange(len(doc))
+        docs += [doc, doc[:cut] + rng.choice(["", "]", "}", ",", "0", "x"])
+                 + doc[cut + 1:]]
+    return docs
+
+
+def test_generated_documents_keep_the_exit_code_contract(capsys):
+    codes = set()
+    for doc in _generated_documents():
+        for command in (("chow", "hilbert"), ("verify", "all")):
+            code = main([*command, doc, "--json"])
+            out, err = capsys.readouterr()
+            codes.add(code)
+            assert code in (0, 1, 2) and "Traceback" not in err, (command, doc)
+            if code == 2:
+                assert err.startswith("error: ") and not out, (command, doc)
+            else:
+                checks = json.loads(out).get("checks", [])
+                assert (code == 1) == any(not c["passed"] for c in checks), \
+                    (command, doc)
+    assert codes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("flag, content, commands", [

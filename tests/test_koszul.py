@@ -4,7 +4,7 @@ from chowring.chow import chow_ring, mono_mul
 from chowring.corpus import K5_EDGES, W4_EDGES
 from chowring.koszul import (
     CaseMap, DegreeMismatch, KoszulError, UnmatchedCase, audit_rule_shapes,
-    injection_2x2, injection_3x3, move_tables, parse_rules, rules_3x3,
+    injection_2x2, injection_3x3, parse_rules, rules_3x3,
     verify_injection,
 )
 from chowring.matroid import boolean, graphic, mask_of, uniform
@@ -306,12 +306,18 @@ def test_equivariance_sweep_catches_an_identity_dependent_image(
     assert not rep["passed"]
 
 
-def test_move_tables_fall_back_to_act_outside_the_table():
+def test_an_image_outside_fy_is_reported_invalid(monkeypatch):
     m = uniform(4, 6)
     ring = chow_ring(m)
-    tables = move_tables(ring, matroid_automorphisms(m), (1, 2))
+    group = matroid_automorphisms(m)
     atom = ((ring.vrank.index(1), 1),)  # a rank-1 flat: not in FY1
-    for g, move in tables:
-        assert set(move) == set(ring.fy_basis(1)) | set(ring.fy_basis(2))
-        assert all(move[mono] == ring.act(g, mono) for mono in move)
-        assert atom not in move and move[atom] == ring.act(g, atom)
+    image = CaseMap.image
+
+    def onto_an_atom(self, rule, binding):
+        kind, payload = image(self, rule, binding)
+        return ("T", (atom,) + payload[1:]) if kind == "T" else (kind, payload)
+
+    monkeypatch.setattr(CaseMap, "image", onto_an_atom)
+    rep = verify_injection(ring, group, check_minor=False)
+    assert rep["invalid"] and not rep["passed"]
+    assert all(img[0] == "T" and img[1][0] == atom for _, img in rep["invalid"])

@@ -2,8 +2,10 @@ import pytest
 
 from chowring import scd
 from chowring.chow import chow_ring, mono_degree
-from chowring.matroid import boolean, mask_of, uniform
+from chowring.corpus import K5_EDGES
+from chowring.matroid import boolean, graphic, mask_of, uniform
 from chowring.perm import matroid_automorphisms
+from chowring.verify import check_scd
 
 
 def test_diagram_and_parens_worked_example():
@@ -195,13 +197,50 @@ def test_equivariance_u45():
     ring = chow_ring(m)
     group = matroid_automorphisms(m)
     for k in range((ring.r + 1) // 2):
-        rep = scd.verify_equivariance(
-            ring, group, lambda mo: scd.lambda_map(ring, mo), ring.fy_basis(k))
-        assert rep["passed"]
+        table = scd.id_table(ring, scd.lambda_map, k, k + 1)
+        assert None not in table
+        assert scd.verify_equivariance(ring, group, table, k, k + 1)["passed"]
     for k in range(ring.r + 1):
-        rep = scd.verify_equivariance(
-            ring, group, lambda mo: scd.pi_map(ring, mo), ring.fy_basis(k))
+        table = scd.id_table(ring, scd.pi_map, k, ring.r - k)
+        assert None not in table
+        rep = scd.verify_equivariance(ring, group, table, k, ring.r - k)
         assert rep["passed"]
+
+
+def _swap_first_two(ring, mono):
+    """mono, with the first two FY monomials of degree 1 exchanged: a choice
+    by identity, which no automorphism respects."""
+    a, b = ring.fy_basis(1)[:2]
+    return b if mono == a else a if mono == b else mono
+
+
+def _lambda_after_swap(ring, mono, lambda_map=scd.lambda_map):
+    return lambda_map(ring, _swap_first_two(ring, mono))
+
+
+def _pi_conjugated_by_swap(ring, mono, pi_map=scd.pi_map):
+    # still a bijection and an involution; only equivariance breaks
+    if mono_degree(mono) == 1:
+        return pi_map(ring, _swap_first_two(ring, mono))
+    return _swap_first_two(ring, pi_map(ring, mono))
+
+
+@pytest.mark.parametrize("m", [graphic(K5_EDGES), uniform(4, 6)],
+                         ids=["graphic(K5)", "uniform(4,6)"])
+@pytest.mark.parametrize("name, mutant, failure", [
+    ("lambda_map", _lambda_after_swap, "lambda_not_equivariant"),
+    ("pi_map", _pi_conjugated_by_swap, "pi_not_equivariant"),
+])
+def test_check_scd_catches_an_identity_dependent_map(m, name, mutant, failure,
+                                                     monkeypatch):
+    ring = chow_ring(m)
+    group = matroid_automorphisms(m)
+    assert check_scd(ring, group)[0]
+    monkeypatch.setattr(scd, name, mutant)
+    passed, details = check_scd(ring, group)
+    assert not passed
+    assert details["failures"]
+    assert {f[0] for f in details["failures"]} == {failure}
 
 
 def test_decode_rejects_wrong_support():
