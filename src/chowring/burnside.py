@@ -26,8 +26,8 @@ from math import prod
 
 from .chow import ChowRing
 from .matroid import members
-from .perm import (NotFullSymmetricGroup, PermGroup, compose, conjugate,
-                   inverse, is_young_subgroup, orbit)
+from .perm import (NotFullSymmetricGroup, PermGroup, compose, inverse,
+                   is_young_subgroup, orbit)
 
 
 class BurnsideError(Exception):
@@ -81,7 +81,6 @@ class SubgroupRegistry:
         self.group = group
         self.classes: list[frozenset] = []
         self._index: dict[int, int] = {}  # element bitset -> class index
-        self._conj_maps = None
 
     def classify(self, bits: int) -> int:
         idx = self._index.get(bits)
@@ -96,18 +95,18 @@ class SubgroupRegistry:
     def _conjugates(self, bits: int) -> set[int]:
         """Bitsets of the G-conjugates of a subgroup, by closing under
         conjugation by the generators."""
-        if self._conj_maps is None:
-            els = self.group.elements
-            index = {g: i for i, g in enumerate(els)}
-            self._conj_maps = [[index[conjugate(s, g)] for g in els]
-                               for s in self.group.gens]
+        maps = self.group.conjugation_maps()
+        nbytes = (len(self.group.elements) + 7) // 8
         seen = {bits}
         frontier = [_bit_indices(bits)]
         while frontier:
             idxs = frontier.pop()
-            for cmap in self._conj_maps:
+            for cmap in maps:
                 image = [cmap[i] for i in idxs]
-                conj = sum(1 << i for i in image)
+                buf = bytearray(nbytes)
+                for i in image:
+                    buf[i >> 3] |= 1 << (i & 7)
+                conj = int.from_bytes(buf, "little")
                 if conj not in seen:
                     seen.add(conj)
                     frontier.append(image)

@@ -87,6 +87,20 @@ def mono_mul(a, b):
     return tuple(sorted(exps.items()))
 
 
+def _matmul(a, b):
+    """Product of dense integer matrices (lists of rows); a's zeros are
+    skipped."""
+    width = len(b[0]) if b else 0
+    out = []
+    for arow in a:
+        row = [0] * width
+        for t, c in enumerate(arow):
+            if c:
+                row = [x + c * y for x, y in zip(row, b[t])]
+        out.append(row)
+    return out
+
+
 def reduction_key(mono):
     """Key whose minimum is the largest monomial in graded lex."""
     return (-mono_degree(mono), tuple((vi, -e) for vi, e in mono))
@@ -125,12 +139,20 @@ class ChowRing:
             tuple(j for j in range(self.nvars)
                   if j != i and self.vars[i] & self.vars[j] == self.vars[i])
             for i in range(self.nvars))
+        # per variable, the bitmask of the variables whose flats are
+        # comparable with its flat (itself included): x_F x_G = 0 unless G
+        # is in F's mask (Feichtner-Yuzvinsky)
+        self.comparable = tuple(
+            sum(1 << j for j, g in enumerate(self.vars) if f & g in (f, g))
+            for f in self.vars)
         self._fy_by_degree = None
         self._fy_index: dict = {}
         self._nf_cache: dict = {}
         self._var_perm: dict = {}
         self._fy_perm: dict = {}
         self._omega_powers: dict = {}
+        self._omega_maps: dict = {}
+        self._pairing: dict = {}
 
     # -- monomial helpers ---------------------------------------------------
 
@@ -144,6 +166,21 @@ class ChowRing:
             if e:
                 pairs.append((vi, e))
         return tuple(sorted(pairs))
+
+    def support(self, mono) -> int:
+        """Bitmask of the variables of a monomial."""
+        bits = 0
+        for vi, _ in mono:
+            bits |= 1 << vi
+        return bits
+
+    def comparable_with(self, mono) -> int:
+        """Bitmask of the variables comparable with every variable of mono:
+        a chain monomial times mono is a chain iff its support lies inside."""
+        mask = -1
+        for vi, _ in mono:
+            mask &= self.comparable[vi]
+        return mask
 
     def is_chain(self, mono) -> bool:
         for (a, _), (b, _) in zip(mono, mono[1:]):
@@ -230,15 +267,16 @@ class ChowRing:
         vi, e = mono[j]
         prev_rank = self.vrank[mono[j - 1][0]] if j else 0
         d = self.vrank[vi] - prev_rank
+        if d <= 0:
+            raise ChowError(f"rank gap {d} at {self.mono_str(mono)}: ranks "
+                            "must increase along a chain")
         base = {v: x for v, x in mono}
         base[vi] -= d
         if not base[vi]:
             del base[vi]
-        uppers = [self.vars[v] for v, _ in mono[j + 1:]]
+        upper = self.comparable_with(mono[j + 1:])
         f_mask = self.vars[vi]
-        cands = [vi] + [g for g in self.above[vi]
-                        if all(self.vars[g] & u == self.vars[g]
-                               or u & self.vars[g] == u for u in uppers)]
+        cands = [vi] + [g for g in self.above[vi] if upper >> g & 1]
         # multichains of length d among candidates (nondecreasing by inclusion)
         out = []
         fact_d = factorial(d)
@@ -265,20 +303,13 @@ class ChowRing:
         rec(0, f_mask, [], d)
         return out
 
-    def normal_form_terms(self, terms, strategy="fy"):
-        """Fully reduce an integer combination of monomials to FY support.
-
-        strategy "fy": pop the largest monomial in the FY order, pivot at the
-        lowest violating flag position. strategy "plain": pop in plain
-        (degree, tuple) order, pivot at the highest position. Both terminate
-        and agree (monic basis confluence); the agreement is tested.
-        """
-        if strategy == "fy":
-            key, low_pivot = reduction_key, True
-        elif strategy == "plain":
-            key, low_pivot = plain_key, False
-        else:
-            raise ValueError(strategy)
+    def normal_form_terms(self, terms):
+        """Fully reduce an integer combination of monomials to FY support by
+        the plain strategy: pop the least monomial in (degree, tuple) order
+        and pivot at its highest violating flag position. This is the
+        independent oracle for `nf_monomial`, which pivots at the lowest
+        position; by confluence of the monic rewriting the two agree, and
+        the agreement is checked by C6 and the tests."""
         work: dict = {}
         out: dict = {}
         heap: list = []
@@ -300,15 +331,14 @@ class ChowRing:
                 return
             if not self.is_chain(mono):
                 return
-            viol = self.violations(mono)
-            if not viol:
+            if not self.violations(mono):
                 out[mono] = out.get(mono, 0) + c
                 if not out[mono]:
                     del out[mono]
                 return
             work[mono] = c
             count += 1
-            heapq.heappush(heap, (key(mono), count, mono))
+            heapq.heappush(heap, (plain_key(mono), count, mono))
 
         for mono, c in terms.items():
             push(tuple(mono), c)
@@ -317,17 +347,29 @@ class ChowRing:
             c = work.pop(mono, 0)
             if not c:
                 continue
-            viol = self.violations(mono)
-            j = viol[0] if low_pivot else viol[-1]
-            for child, mult in self._expansion(mono, j):
+            for child, mult in self._expansion(mono, self.violations(mono)[-1]):
                 push(child, c * mult)
         return out
 
     def nf_monomial(self, mono):
-        """Cached normal form of a single monomial, as {fy_mono: coeff}."""
+        """Normal form of one monomial, as {fy_mono: coeff}: {} off the
+        chains, {mono: 1} for an FY monomial, and otherwise the sum of
+        mult * nf_monomial(child) over the expansion at the lowest violating
+        flag position. Memoised per ring, so every intermediate monomial is
+        reduced once; the dict is shared and must not be modified."""
         got = self._nf_cache.get(mono)
         if got is None:
-            got = self.normal_form_terms({mono: 1})
+            viol = self.violations(mono) if self.is_chain(mono) else None
+            if viol is None:
+                got = {}
+            elif not viol:
+                got = {mono: 1}
+            else:
+                acc: dict = {}
+                for child, mult in self._expansion(mono, viol[0]):
+                    for m2, c2 in self.nf_monomial(child).items():
+                        acc[m2] = acc.get(m2, 0) + mult * c2
+                got = {m2: c2 for m2, c2 in acc.items() if c2}
             self._nf_cache[mono] = got
         return got
 
@@ -365,13 +407,26 @@ class ChowRing:
     # -- Poincare pairing, Lefschetz, Hodge-Riemann ----------------------------
 
     def pairing_matrix(self, k: int):
-        if not 0 <= k <= self.r:
-            raise DegreeOutOfRange(str(k))
-        rows = self.fy_basis(k)
-        cols = self.fy_basis(self.r - k)
-        if len(rows) != len(cols):
-            raise NonSquare(f"a_{k}={len(rows)} != a_{self.r - k}={len(cols)}")
-        return [[self.deg_top(mono_mul(a, b)) for b in cols] for a in rows]
+        """P[a][b] = deg(a * b) for a in FY^k, b in FY^(r-k). A product is
+        reduced only when every flat of b is comparable with every flat of
+        a; otherwise it is zero. Memoised per degree; the matrix is shared
+        and must not be modified."""
+        got = self._pairing.get(k)
+        if got is None:
+            if not 0 <= k <= self.r:
+                raise DegreeOutOfRange(str(k))
+            rows = self.fy_basis(k)
+            cols = self.fy_basis(self.r - k)
+            if len(rows) != len(cols):
+                raise NonSquare(f"a_{k}={len(rows)} != a_{self.r - k}={len(cols)}")
+            col_bits = [self.support(b) for b in cols]
+            got = []
+            for a in rows:
+                off = ~self.comparable_with(a)
+                got.append([0 if bits & off else self.deg_top(mono_mul(a, b))
+                            for b, bits in zip(cols, col_bits)])
+            self._pairing[k] = got
+        return got
 
     def omega_power(self, omega: "LefschetzElement", p: int) -> "ChowElement":
         key = (tuple(sorted(omega.coeffs.items())), p)
@@ -389,20 +444,41 @@ class ChowRing:
         d = elem.degree()
         src = self.fy_basis(k)
         tgt = self.fy_index(k + d)
+        terms = [(m, c, self.support(m)) for m, c in elem.terms.items()]
         cols = []
         for a in src:
             col = [0] * len(tgt)
-            for m, c in elem.terms.items():
-                for m2, c2 in self.nf_monomial(mono_mul(a, m)).items():
-                    col[tgt[m2]] += c * c2
+            off = ~self.comparable_with(a)
+            for m, c, bits in terms:
+                if not bits & off:
+                    for m2, c2 in self.nf_monomial(mono_mul(a, m)).items():
+                        col[tgt[m2]] += c * c2
             cols.append(col)
-        return [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+        return [list(row) for row in zip(*cols)]
+
+    def omega_map(self, omega: "LefschetzElement", p: int, k: int):
+        """Matrix (rows = FY^(k+p), columns = FY^k) of a |-> a * omega^p: the
+        product of the degree-one maps mult_matrix(omega, j), j = k..k+p-1.
+        Memoised per ring, keyed by omega's coefficients, p and k; the
+        matrix is shared and must not be modified."""
+        key = (tuple(sorted(omega.coeffs.items())), p, k)
+        got = self._omega_maps.get(key)
+        if got is None:
+            if p == 0:
+                n = len(self.fy_basis(k))
+                got = [[int(i == j) for j in range(n)] for i in range(n)]
+            elif p == 1:
+                got = self.mult_matrix(omega.element, k)
+            else:
+                got = _matmul(self.omega_map(omega, 1, k + p - 1),
+                              self.omega_map(omega, p - 1, k))
+            self._omega_maps[key] = got
+        return got
 
     def hard_lefschetz_check(self, omega: "LefschetzElement", k: int) -> dict:
         if k > self.r / 2:
             raise DegreeOutOfRange(f"k={k} exceeds r/2")
-        power = self.omega_power(omega, self.r - 2 * k)
-        mat = self.mult_matrix(power, k)
+        mat = self.omega_map(omega, self.r - 2 * k, k)
         a_k = len(self.fy_basis(k))
         from . import linalg
         rank = a_k - len(linalg.int_kernel(mat, a_k))
@@ -416,7 +492,7 @@ class ChowRing:
         x_E^r -> 1, which is (-1)^r times the flag-count normalization; the
         quadratic forms below are oriented so that definiteness matches the
         geometric statement regardless of the parity of r."""
-        top = self.degree_map(self.omega_power(omega, self.r))
+        top = self.omega_map(omega, self.r, 0)[0][0]  # FY^r = {x_E^r}
         if top == 0:
             raise ChowError("omega^r has degree zero; not a Lefschetz element")
         return 1 if top > 0 else -1
@@ -427,17 +503,8 @@ class ChowRing:
         multiplication by omega^(r-2k) from FY^k to FY^(r-k), so
         Q[a][b] = sign * sum_m deg(a * m) M[m][b]."""
         sign = (-1 if k % 2 else 1) * self.orientation(omega)
-        pmat = self.pairing_matrix(k)
-        mmat = self.mult_matrix(self.omega_power(omega, self.r - 2 * k), k)
-        qmat = []
-        for prow in pmat:
-            row = [0] * len(pmat)
-            for m, p in enumerate(prow):
-                if p:
-                    c = sign * p
-                    row = [x + c * y for x, y in zip(row, mmat[m])]
-            qmat.append(row)
-        return qmat
+        return _matmul([[sign * p for p in row] for row in self.pairing_matrix(k)],
+                       self.omega_map(omega, self.r - 2 * k, k))
 
     def hodge_riemann_check(self, omega: "LefschetzElement", k: int) -> dict:
         if k > self.r / 2:
@@ -448,8 +515,8 @@ class ChowRing:
         if k == 0:
             kernel = [[1]] if a_k else []
         else:
-            lift = self.mult_matrix(self.omega_power(omega, self.r - 2 * k + 1), k)
-            kernel = linalg.int_kernel(lift, a_k)
+            kernel = linalg.int_kernel(self.omega_map(omega, self.r - 2 * k + 1, k),
+                                       a_k)
         dim = len(kernel)
         # restricted = K Q K^T, entry (i, j) = v_i . Q v_j; Q is symmetric
         # and often sparse (it is +-P when r = 2k)
@@ -498,22 +565,17 @@ class ChowRing:
             return 0
         cols = sorted(self.chain_monomials(k), key=reduction_key)
         col_id = {m: i for i, m in enumerate(cols)}
-        atoms = [vi for vi in range(self.nvars) if self.vrank[vi] == 1]
+        # per atom, the bitmask of the variables whose flats contain it
+        atoms = [sum(1 << g for g in (vi, *self.above[vi]))
+                 for vi in range(self.nvars) if self.vrank[vi] == 1]
         atom_rows = []
         for m in self.chain_monomials(k - 1):
-            support = [self.vars[vi] for vi, _ in m]
-            for avi in atoms:
-                amask = self.vars[avi]
-                row = {}
-                for g in range(self.nvars):
-                    gm = self.vars[g]
-                    if gm & amask != amask:
-                        continue
-                    if all(gm & u == gm or u & gm == u for u in support):
-                        prod = mono_mul(m, ((g, 1),))
-                        cid = col_id.get(prod)
-                        if cid is not None:
-                            row[cid] = row.get(cid, 0) + 1
+            # the column of the chain m * x_g, for each g comparable with m
+            comparable = self.comparable_with(m)
+            col = {g: col_id[mono_mul(m, ((g, 1),))]
+                   for g in range(self.nvars) if comparable >> g & 1}
+            for above in atoms:
+                row = {c: 1 for g, c in col.items() if above >> g & 1}
                 if row:
                     atom_rows.append(row)
         from . import linalg
@@ -650,6 +712,17 @@ def submodularity_witness(vals) -> tuple[int, int] | None:
     full = len(vals) - 1
     if vals[0] != 0 or vals[full] != 0:
         return 0, full
+    # Strictness on every incomparable pair (A, B) is equivalent to the
+    # diamond inequalities f(C+i) + f(C+j) > f(C) + f(C+i+j): those are the
+    # pairs with |A - B| = |B - A| = 1, and summing them over the grid
+    # between A & B and A | B gives any other pair. The pair scan below runs
+    # only once a diamond fails, to name the first failing pair.
+    bits = [1 << i for i in range(full.bit_length())]
+    if all(vals[c | i] + vals[c | j] > vals[c] + vals[c | i | j]
+           for c in range(full + 1)
+           for x, i in enumerate(bits) if not c & i
+           for j in bits[x + 1:] if not c & j):
+        return None
     for a in range(full + 1):
         for b in range(a + 1, full + 1):
             if a & b == a or a & b == b:

@@ -464,7 +464,13 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv (default sys.argv[1:]). Every command group is
+    registered, but only the group that argv names (its first word that is
+    not an option) gets its subcommands, since no other can be parsed."""
+    if argv is None:
+        argv = sys.argv[1:]
+    named = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="chowring",
         description="Exact Chow rings of matroids: FY bases, symmetric "
@@ -476,6 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_group(name, help_text, func, commands, render=_emit_text):
         psub = sub.add_parser(name, help=help_text).add_subparsers(
             dest="what", required=True)
+        if name != named:
+            return
         for what, *options in commands:
             pc = psub.add_parser(what)
             # given here or before the command; SUPPRESS keeps the latter
@@ -510,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         m = load_matroid_document(args.doc)
         group = load_group(args.group, m)

@@ -5,9 +5,10 @@ and rank), `int_positive_definite`, `bareiss_det` and `sparse_int_rank`.
 `frac_rank`, `frac_kernel` and `symmetric_positive_definite` compute the same
 things over Q with `Fraction` and serve as oracles in the tests; each imports
 `fractions` itself, so the integer routines never load it. Dense
-routines take lists of lists; the sparse rank routine takes rows as
-{column: int} dicts. Pivots prefer small entries (minimal bit length) so
-intermediate swell stays bounded at desk scale.
+routines take lists of lists, and their pivots prefer small entries
+(minimal bit length) so intermediate swell stays bounded at desk scale. The
+sparse rank routine takes rows as {column: int} dicts and picks its pivots
+to keep fill-in low.
 """
 
 from __future__ import annotations
@@ -237,47 +238,49 @@ def int_positive_definite(matrix) -> tuple[bool, int | None]:
 def sparse_int_rank(rows) -> int:
     """Rank over Q of sparse integer rows ({col: coeff} dicts).
 
-    Incremental elimination: each incoming row is reduced against the pivot
-    rows found so far; its surviving leading column (the smallest column
-    index) becomes a new pivot. Rows are kept as primitive integer vectors.
+    Incremental elimination: the rows are taken shortest first, and each is
+    reduced against the pivot rows found so far; its surviving leading
+    column (the largest column index) becomes a new pivot. Short rows and a
+    lead at the end of the row keep the pivot rows sparse, so fill-in stays
+    low. Pivot rows are primitive integer vectors. A row is scaled only when
+    the pivot's lead does not divide its own, and is then made primitive
+    again.
     """
     pivots: dict = {}  # col -> primitive row dict
 
-    def content(row):
+    def primitive(row):
         g = 0
         for v in row.values():
             g = gcd(g, v)
             if g == 1:
-                return 1
-        return g
+                return row
+        return {c: v // g for c, v in row.items()}
 
     rank = 0
-    for raw in rows:
+    for raw in sorted(rows, key=len):
         row = {c: v for c, v in raw.items() if v}
         while row:
-            lead = min(row)
+            lead = max(row)
             piv = pivots.get(lead)
             if piv is None:
-                g = content(row)
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-                pivots[lead] = row
+                pivots[lead] = primitive(row)
                 rank += 1
                 break
             a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            scale_row, scale_piv = a // g, b // g
-            new = {}
-            for c, v in row.items():
-                new[c] = v * scale_row
+            scaled = b % a != 0
+            if scaled:
+                g = gcd(a, b)
+                row = {c: v * (a // g) for c, v in row.items()}
+                b //= g
+            else:
+                b //= a
+            # row - b * piv; an entry can only vanish where both have one
             for c, v in piv.items():
-                w = new.get(c, 0) - v * scale_piv
+                w = row.get(c, 0) - b * v
                 if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = new
-            g = content(row)
-            if g > 1:
-                row = {c: v // g for c, v in row.items()}
+                    row[c] = w
+                else:
+                    del row[c]
+            if scaled:
+                row = primitive(row)
     return rank

@@ -7,7 +7,8 @@ matroid comes from a stabilizer chain: one backtrack search per point and
 candidate image finds a coset representative, and the elements are the
 products of one representative per level.
 
-Element conjugacy classes are orbits of the action `conjugate`. Subgroup
+Element conjugacy classes are orbits of the action `conjugate`, taken over
+one index map per generator (`PermGroup.conjugation_maps`). Subgroup
 classes are named in `burnside.SubgroupRegistry`, which caches every
 conjugate of each class it meets; `subgroup_invariant` and
 `are_conjugate_subgroups` stay here as the independent test oracle.
@@ -16,6 +17,7 @@ conjugate of each class it meets; `subgroup_invariant` and
 from __future__ import annotations
 
 from math import factorial
+from operator import itemgetter
 
 from .matroid import Matroid, members
 
@@ -129,6 +131,7 @@ class PermGroup:
         self.elements = tuple(sorted(elements))
         self.element_set = frozenset(self.elements)
         self._classes = None
+        self._conj_maps = None
 
     @property
     def order(self) -> int:
@@ -148,17 +151,44 @@ class PermGroup:
     def is_full_symmetric(self) -> bool:
         return self.order == factorial(self.n)
 
+    def conjugation_maps(self):
+        """Per generator s other than the identity, the index map
+        i -> index of s g_i s^-1 in `elements`; built once per group."""
+        if self._conj_maps is None:
+            index = {g: i for i, g in enumerate(self.elements)}
+            maps = []
+            for s in self.gens:
+                if s == identity(self.n):
+                    continue  # also all of S_1, where a gather gives no tuple
+                # s g s^-1 by two gathers: s o g, then read at s^-1
+                back = itemgetter(*inverse(s))
+                maps.append([index[back(itemgetter(*g)(s))] for g in self.elements])
+            self._conj_maps = tuple(maps)
+        return self._conj_maps
+
     def conjugacy_classes(self):
         """Element conjugacy classes as (representative, frozenset) pairs,
-        representative minimal in tuple order, classes sorted by it."""
+        representative minimal in tuple order, classes sorted by it: the
+        orbits of the conjugation maps on element indices."""
         if self._classes is None:
-            unseen = set(self.elements)
+            maps = self.conjugation_maps()
+            els = self.elements
+            seen = bytearray(len(els))
             classes = []
-            for g in self.elements:  # sorted, so reps come out minimal
-                if g in unseen:
-                    cls = frozenset(orbit(self, g, conjugate))
-                    unseen -= cls
-                    classes.append((g, cls))
+            for i, g in enumerate(els):  # sorted, so reps come out minimal
+                if seen[i]:
+                    continue
+                seen[i] = 1
+                cls, frontier = [i], [i]
+                while frontier:
+                    x = frontier.pop()
+                    for cmap in maps:
+                        y = cmap[x]
+                        if not seen[y]:
+                            seen[y] = 1
+                            cls.append(y)
+                            frontier.append(y)
+                classes.append((g, frozenset(els[j] for j in cls)))
             self._classes = tuple(classes)
         return self._classes
 

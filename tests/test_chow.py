@@ -7,8 +7,9 @@ from chowring.chow import (
     ChowError, ChowRing, DegreeOutOfRange, LefschetzElement, NotAnFYMonomial,
     NotSubmodular, NotTopDegree, UnknownVariable, check_submodular, chow_ring,
     default_coefficient_rule, lefschetz_omega, mono_degree, mono_mul,
+    submodularity_witness,
 )
-from chowring.corpus import corpus_matroid, corpus_names
+from chowring.corpus import corpus, corpus_matroid, corpus_names
 from chowring.linalg import (bareiss_det, frac_kernel, frac_rank,
                              symmetric_positive_definite)
 from chowring.matroid import boolean, mask_of, matroid_from_bases, uniform
@@ -129,13 +130,65 @@ def test_reduction_strategies_agree():
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
         prod = mono_mul(a, b)
-        assert ring.normal_form_terms({prod: 1}, "fy") == \
-            ring.normal_form_terms({prod: 1}, "plain")
+        assert ring.nf_monomial(prod) == ring.normal_form_terms({prod: 1})
 
 
 def test_check_submodular():
     assert check_submodular(default_coefficient_rule(3), 3)
     assert not check_submodular(lambda s: 0, 3)
+
+
+def _first_failing_pair(vals):
+    """The pair scan over all subset pairs: (0, E) unless vals vanish at the
+    empty and the full set, else the first incomparable (A, B) in scan
+    order without f(A) + f(B) > f(A & B) + f(A | B), else None."""
+    full = len(vals) - 1
+    if vals[0] or vals[full]:
+        return 0, full
+    return next(((a, b) for a in range(full + 1) for b in range(a + 1, full + 1)
+                 if a & b not in (a, b)
+                 and vals[a] + vals[b] <= vals[a & b] + vals[a | b]), None)
+
+
+def test_submodularity_witness_matches_pair_scan():
+    """On fixed-seed perturbations of the default rule (and of the zero
+    rule, which is modular), the diamond test names the pair scan's pair."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        rule = default_coefficient_rule(n) if rng.random() < 0.8 else (lambda s: 0)
+        vals = [rule(s) for s in range(1 << n)]
+        for _ in range(rng.randint(0, 3)):
+            vals[rng.randrange(1 << n)] += rng.randint(-2, 2)
+        want = _first_failing_pair(vals)
+        assert submodularity_witness(vals) == want, vals
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_rank_gap_guard(monkeypatch):
+    """A ring whose ranks do not increase along a chain raises ChowError
+    instead of recursing without end."""
+    ring = ChowRing(boolean(3))
+    vrank = list(ring.vrank)
+    vrank[ring.top_var] = 1  # x_E now has the rank of an atom
+    monkeypatch.setattr(ring, "vrank", tuple(vrank))
+    atom = next(vi for vi, r in enumerate(vrank) if r == 1 and vi != ring.top_var)
+    with pytest.raises(ChowError, match="rank gap"):
+        ring.nf_monomial(((atom, 1), (ring.top_var, 1)))
+
+
+@pytest.mark.parametrize("name", ["boolean(4)", "uniform(4,6)", "graphic(K5)"])
+def test_omega_map_is_multiplication_by_omega_power(name):
+    """The product of the degree-one maps equals multiplication by the
+    reduced element omega^p, for every p and k."""
+    ring = ChowRing(corpus_matroid(name))
+    omega = lefschetz_omega(ring)
+    for k in range(ring.r + 1):
+        for p in range(ring.r - k + 1):
+            assert ring.omega_map(omega, p, k) == \
+                ring.mult_matrix(ring.omega_power(omega, p), k), (p, k)
 
 
 def test_lefschetz_omega_group_fixed():
@@ -182,7 +235,7 @@ def test_qform_is_pairing_times_multiplication(name):
         assert ring._qform(omega, k) == _direct_qform(ring, omega, k)
 
 
-@pytest.mark.parametrize("name", ["boolean(4)", "uniform(4,6)", "graphic(K4)"])
+@pytest.mark.parametrize("name", [name for name, _ in corpus(max_n=6)])
 def test_pairing_matrix_against_plain_reduction(name):
     """Each pairing entry is the x_E^r coefficient of the product reduced by
     the plain strategy, which pivots in the other order; the pairing in
@@ -191,7 +244,7 @@ def test_pairing_matrix_against_plain_reduction(name):
     for k in range(ring.r + 1):
         pmat = ring.pairing_matrix(k)
         assert pmat == [
-            [ring.normal_form_terms({mono_mul(a, b): 1}, "plain")
+            [ring.normal_form_terms({mono_mul(a, b): 1})
              .get(ring.top_mono, 0) for b in ring.fy_basis(ring.r - k)]
             for a in ring.fy_basis(k)]
         assert ring.pairing_matrix(ring.r - k) == [list(c) for c in zip(*pmat)]

@@ -159,6 +159,67 @@ def test_omega_rule_errors_name_sets(tmp_path, capsys, content, message):
     assert capsys.readouterr().err == message
 
 
+def _generated_omega_tables(seed=3, count=40):
+    """Fixed-seed --omega tables over n = 3 and 4: perturbations of the
+    default rule |S| * |E - S| (so some stay strictly submodular and some
+    do not), some with a bad entry. Each comes with its n."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        n = rng.choice([3, 4])
+        table = [{"set": [e + 1 for e in range(n) if s >> e & 1],
+                  "c": bin(s).count("1") * (n - bin(s).count("1"))}
+                 for s in range(1, 1 << n)]
+        for entry in rng.sample(table, rng.randint(0, 2)):
+            entry["c"] += rng.randint(-2, 2)
+        if rng.random() < 0.15:
+            rng.choice(table)["set"] = rng.choice([[0], [n + 1], "1", None])
+        tables.append((n, table))
+    return tables
+
+
+def _pair_scan_message(n, table):
+    """The --omega error for a table that is not strictly submodular, with
+    the witness from the scan over all subset pairs; None if it is."""
+    vals = [0] * (1 << n)
+    for entry in table:
+        vals[sum(1 << (e - 1) for e in entry["set"])] = entry["c"]
+    full = (1 << n) - 1
+    pairs = [(a, b) for a in range(full + 1) for b in range(a + 1, full + 1)
+             if a & b not in (a, b)
+             and vals[a] + vals[b] <= vals[a & b] + vals[a | b]]
+    if vals[0] or vals[full]:
+        pairs.insert(0, (0, full))
+    if not pairs:
+        return None
+    names = ["{" + ",".join(str(e + 1) for e in range(n) if s >> e & 1) + "}"
+             for s in pairs[0]]
+    return (f"error: --omega rule: submodularity fails at A={names[0]}, "
+            f"B={names[1]}\n")
+
+
+def test_generated_omega_files_keep_the_exit_code_contract(tmp_path, capsys):
+    path = tmp_path / "omega.json"
+    docs = {3: "boolean(3)", 4: "uniform(3,4)"}
+    codes = set()
+    for n, table in _generated_omega_tables():
+        path.write_text(json.dumps(table))
+        for what in ("lefschetz", "hodge-riemann"):
+            code = main(["chow", what, docs[n], "--omega", str(path)])
+            out, err = capsys.readouterr()
+            codes.add(code)
+            assert code in (0, 1, 2) and "Traceback" not in err, table
+            if code == 2:
+                assert err.startswith("error: ") and not out, table
+            well_formed = all(isinstance(entry["set"], list)
+                              and all(1 <= e <= n for e in entry["set"])
+                              for entry in table)
+            message = well_formed and _pair_scan_message(n, table)
+            if message:
+                assert (code, err) == (2, message), table
+    assert {0, 2} <= codes
+
+
 def test_omega_file(tmp_path, capsys):
     path = tmp_path / "omega.json"
     path.write_text(json.dumps([{"set": s, "c": 2} for s in

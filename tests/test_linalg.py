@@ -52,6 +52,25 @@ def test_sparse_rank_matches_dense():
     assert sparse_int_rank(rows) == frac_rank(dense)
 
 
+def test_sparse_rank_matches_frac_rank_on_random_rows():
+    """Fixed-seed sparse integer matrices with negative entries, and with
+    rows that are combinations of other rows, so most are rank-deficient."""
+    rng = random.Random(11)
+    for _ in range(200):
+        ncols = rng.randint(1, 12)
+        rows = [{c: rng.choice([-3, -2, -1, 1, 1, 2, 5])
+                 for c in rng.sample(range(ncols), rng.randint(0, min(4, ncols)))}
+                for _ in range(rng.randint(0, 10))]
+        for _ in range(rng.randint(0, 4) if rows else 0):
+            a, b = rng.choice(rows), rng.choice(rows)
+            x, y = rng.choice([-2, -1, 1, 3]), rng.choice([-1, 1, 2])
+            rows.append({c: x * a.get(c, 0) + y * b.get(c, 0)
+                         for c in set(a) | set(b)})
+        rng.shuffle(rows)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert sparse_int_rank(rows) == frac_rank(dense), rows
+
+
 def test_sparse_rank_content_reduction():
     rows = [{0: 6, 1: 4}, {0: 3, 1: 2}, {1: 5}]
     assert sparse_int_rank(rows) == 2

@@ -6,7 +6,7 @@ from chowring.corpus import K5_EDGES, corpus, corpus_matroid
 from chowring.matroid import boolean, graphic, uniform
 from chowring.perm import (
     GroupError, GroupTooLarge, NotFullSymmetricGroup, are_conjugate_subgroups,
-    compose, cycle_type, from_cycles, group_from_generators, identity,
+    compose, conjugate, cycle_type, from_cycles, group_from_generators, identity,
     inverse, is_young_subgroup, matroid_automorphisms, mulclose, orbit,
     perm_mask, perm_str, stabilizer, symmetric_group, trivial_group,
 )
@@ -23,6 +23,9 @@ def test_trivial_and_cyclic():
     c3 = group_from_generators(3, [from_cycles(3, [(0, 1, 2)])])
     assert c3.order == 3
     assert len(c3.conjugacy_classes()) == 3
+    # an identity generator, also the only permutation of one point
+    one = group_from_generators(1, [(0,)])
+    assert one.conjugacy_classes() == (((0,), frozenset({(0,)})),)
 
 
 def test_not_a_bijection_rejected():
@@ -134,6 +137,20 @@ def test_s4_conjugacy_classes():
     g = symmetric_group(4)
     sizes = sorted(len(c) for _, c in g.conjugacy_classes())
     assert sizes == [1, 3, 6, 6, 8]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_conjugacy_classes_are_orbits_under_conjugation(name):
+    """The classes from the per-generator index maps are the orbits of
+    `conjugate`, with the same minimal representatives, in the same order."""
+    g = matroid_automorphisms(corpus_matroid(name))
+    unseen, classes = set(g.elements), []
+    for x in g.elements:
+        if x in unseen:
+            cls = frozenset(orbit(g, x, conjugate))
+            unseen -= cls
+            classes.append((x, cls))
+    assert g.conjugacy_classes() == tuple(classes)
 
 
 def test_conjugate_point_stabilizers():
