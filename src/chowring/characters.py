@@ -14,10 +14,15 @@ Two table backends:
     off by walking g, g^2, ... once for each class representative g, only
     when Dixon's method runs.
 
-All arithmetic is on integers and cyclotomic integers; a rational appears
-only as the value of an inner product. Sturm sequences use sign-preserving
-integer pseudo-remainders. Every table is audited against both
-orthogonality relations before use.
+All arithmetic is on integers and cyclotomic integers: an inner product is
+an exact integer quotient, and a class function whose inner product with an
+irreducible leaves a remainder is not a virtual character. Sturm sequences
+use sign-preserving integer pseudo-remainders. Every table is audited
+against both orthogonality relations before use.
+
+A Toeplitz minor of permutation characters is taken class by class: the
+class-function ring multiplies pointwise, so its value on a class is the
+integer determinant of the entries' values there, from `linalg.bareiss_det`.
 """
 
 from __future__ import annotations
@@ -258,15 +263,19 @@ class ClassFunction:
         return self.values[self.data.inverse_map[i]]
 
     def inner(self, other):
-        """The inner product <self, other>, a Fraction."""
+        """The inner product <self, other>, an integer; NotVirtual if it is
+        not one."""
         self._same(other)
         total = 0
         for i, size in enumerate(self.data.sizes):
             total = total + size * (self.values[i] * other.at_inverse(i))
         if isinstance(total, Cyc):
             total = total.rational()
-        from fractions import Fraction
-        return Fraction(total, self.data.group.order)
+        order = self.data.group.order
+        q, rem = divmod(total, order)
+        if rem:
+            raise NotVirtual(f"<{self!r}, {other!r}> = {total}/{order}")
+        return q
 
     def __repr__(self):
         return f"ClassFunction{self.values}"
@@ -545,7 +554,11 @@ class CharacterTable:
             raise TableFailure("wrong number of irreducibles")
         for i, chi in enumerate(ms):
             for j, psi in enumerate(ms):
-                got = chi.inner(psi)
+                try:
+                    got = chi.inner(psi)
+                except NotVirtual as exc:
+                    raise TableFailure(f"orthogonality fails at ({i},{j}): "
+                                       f"{exc}") from exc
                 if got != (1 if i == j else 0):
                     raise TableFailure(f"orthogonality fails at ({i},{j}): {got}")
         if sum(as_rational(chi.degree()) ** 2 for chi in ms) != self.group.order:
@@ -554,13 +567,7 @@ class CharacterTable:
     def decompose(self, chi: ClassFunction):
         """Multiplicities of chi in the irreducible basis; NotVirtual if any
         inner product is non-integral."""
-        mults = []
-        for irr in self.irreducibles:
-            v = chi.inner(irr)
-            if v.denominator != 1:
-                raise NotVirtual(f"<chi, {irr!r}> = {v}")
-            mults.append(int(v))
-        return tuple(mults)
+        return tuple(chi.inner(irr) for irr in self.irreducibles)
 
 
 _TABLE_CACHE: dict = {}
@@ -603,30 +610,19 @@ def character_sequence(ring, group: PermGroup):
 
 def toeplitz_minor(seq, rows, cols):
     """det of the submatrix T[rows, cols] of the Toeplitz matrix T[r][c] =
-    seq[c - r] (entries outside 0..len(seq)-1 are zero; seq[0] plays A^0)."""
-    zero = seq[0] * 0
-    entries = [[seq[c - r] if 0 <= c - r < len(seq) else zero for c in cols]
-               for r in rows]
-    return _det_ring(entries, zero)
-
-
-def _det_ring(m, zero):
-    """Cofactor expansion along the top row. Entries that are the shared
-    `zero` object, as `toeplitz_minor` puts outside the band, contribute
-    nothing, so their minors are never expanded."""
-    n = len(m)
-    if n == 0:
+    seq[c - r] (entries outside 0..len(seq)-1 are zero; seq[0] plays A^0).
+    The entries are integer-valued class functions over one group, such as
+    permutation characters; the minor's value on each class is the
+    determinant of their values there."""
+    from .linalg import bareiss_det
+    if not rows:
         raise CharacterError("empty minor")
-    if n == 1:
-        return m[0][0]
-    total = zero
-    for j, entry in enumerate(m[0]):
-        if entry is zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = entry * _det_ring(minor, zero)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    band = [[c - r if 0 <= c - r < len(seq) else None for c in cols]
+            for r in rows]
+    dets = [bareiss_det([[0 if k is None else seq[k].values[i] for k in row]
+                         for row in band])
+            for i in range(len(seq[0].values))]
+    return ClassFunction(seq[0].data, dets)
 
 
 def koszul_minor(seq, alpha):

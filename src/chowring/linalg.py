@@ -1,14 +1,18 @@
 """Exact linear algebra over the integers, with rational test oracles.
 
 The program's checks use the fraction-free routines: `int_kernel` (kernel
-and rank), `int_positive_definite`, `bareiss_det` and `sparse_int_rank`.
-`frac_rank`, `frac_kernel` and `symmetric_positive_definite` compute the same
-things over Q with `Fraction` and serve as oracles in the tests; each imports
-`fractions` itself, so the integer routines never load it. Dense
-routines take lists of lists, and their pivots prefer small entries
-(minimal bit length) so intermediate swell stays bounded at desk scale. The
-sparse rank routine takes rows as {column: int} dicts and picks its pivots
-to keep fill-in low.
+and rank), `bareiss_det`, `int_positive_definite` and `sparse_int_rank`.
+`int_kernel` and `bareiss_det` read their answers off one Gauss-Jordan
+Bareiss elimination, `_bareiss`, which also computes every exact dense
+determinant the characters layer needs (Toeplitz minors, class by class).
+`int_positive_definite` keeps its own elimination, since it needs the
+leading principal minors in diagonal order. `frac_rank`, `frac_kernel` and
+`symmetric_positive_definite` compute the same things over Q with
+`Fraction` and serve as oracles in the tests; each imports `fractions`
+itself, so the integer routines never load it. Dense routines take lists of
+lists, and their pivots prefer small entries (minimal bit length) so
+intermediate swell stays bounded at desk scale. The sparse rank routine
+takes rows as {column: int} dicts and picks its pivots to keep fill-in low.
 """
 
 from __future__ import annotations
@@ -94,20 +98,22 @@ def frac_kernel(rows, ncols) -> list[list]:
     return basis
 
 
-def int_kernel(rows, ncols) -> list[list[int]]:
-    """Basis of {v : M v = 0} over Q for an integer matrix, fraction-free.
+def _bareiss(rows, ncols):
+    """Gauss-Jordan elimination in Bareiss form on an integer matrix.
 
-    Gauss-Jordan elimination in Bareiss form: each step replaces every other
+    Each step takes as pivot the entry of fewest bits in the next column,
+    swaps its row to the top of the unreduced rows, and replaces every other
     row by (pivot * row - entry * pivot row) // previous pivot, an exact
-    division whose quotients are minors of M. At the end every pivot row
-    holds the same minor d at its pivot column. The vector for a free column
-    f is (d at f, -row entries at the pivot columns), made primitive with a
-    positive entry at f: the same vector, in the same order, as
-    `frac_kernel`, whatever pivot rows are chosen.
+    division whose quotients are minors of M (Bareiss 1968). Returns the
+    reduced rows, the pivot columns, the last pivot d and the sign of the
+    row permutation. Every pivot row holds d at its pivot column, and d is
+    the minor of the row-permuted M on its first rank rows and the pivot
+    columns; for a square M of full rank, det M = sign * d.
     """
     m = [list(row) for row in rows]
     pivot_cols = []
     prev = 1
+    sign = 1
     for col in range(ncols):
         top = len(pivot_cols)
         if top == len(m):
@@ -116,7 +122,9 @@ def int_kernel(rows, ncols) -> list[list[int]]:
         if not rows_here:
             continue
         pick = min(rows_here, key=lambda i: abs(m[i][col]).bit_length())
-        m[top], m[pick] = m[pick], m[top]
+        if pick != top:
+            m[top], m[pick] = m[pick], m[top]
+            sign = -sign
         prow = m[top]
         pv = prow[col]
         for i, ri in enumerate(m):
@@ -129,14 +137,26 @@ def int_kernel(rows, ncols) -> list[list[int]]:
                 m[i] = [pv * x // prev for x in ri]
         pivot_cols.append(col)
         prev = pv
+    return m, pivot_cols, prev, sign
+
+
+def int_kernel(rows, ncols) -> list[list[int]]:
+    """Basis of {v : M v = 0} over Q for an integer matrix, fraction-free.
+
+    From `_bareiss`: the vector for a free column f is (d at f, -row entries
+    at the pivot columns), made primitive with a positive entry at f: the
+    same vector, in the same order, as `frac_kernel`, whatever pivot rows
+    are chosen.
+    """
+    m, pivot_cols, d, _ = _bareiss(rows, ncols)
     pivot_set = set(pivot_cols)
-    sign = 1 if prev > 0 else -1
+    sign = 1 if d > 0 else -1
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [0] * ncols
-        v[free] = prev
+        v[free] = d
         for prow, pcol in enumerate(pivot_cols):
             v[pcol] = -m[prow][free]
         g = gcd(*v) * sign
@@ -145,45 +165,12 @@ def int_kernel(rows, ncols) -> list[list[int]]:
 
 
 def bareiss_det(matrix) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination with
-    row/column pivoting on minimal-bit-length entries)."""
+    """Exact determinant of a square integer matrix (a list of rows): the
+    sign of `_bareiss`'s row permutation times its last pivot, or 0 when a
+    column has no pivot."""
     n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        # choose the nonzero pivot of minimal bit length in the trailing block
-        pick = None
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if m[i][j]:
-                    b = abs(m[i][j]).bit_length()
-                    if best is None or b < best:
-                        best, pick = b, (i, j)
-                    if b == 1:
-                        break
-            if best == 1:
-                break
-        if pick is None:
-            return 0
-        pi, pj = pick
-        if pi != k:
-            m[k], m[pi] = m[pi], m[k]
-            sign = -sign
-        if pj != k:
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    _, pivot_cols, d, sign = _bareiss(matrix, n)
+    return sign * d if len(pivot_cols) == n else 0
 
 
 def symmetric_positive_definite(matrix) -> tuple[bool, int | None]:

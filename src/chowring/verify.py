@@ -344,8 +344,7 @@ def _compositions_upto(total_cap: int, max_len: int):
 
 # -- the full battery ------------------------------------------------------------
 
-def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, deep=False,
-                  seed=0):
+def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, seed=0):
     """(battery id, name, callable, known-gap note) for one matroid."""
     hilbert = ring.hilbert_function()
     is_u45 = (m.n == 5 and m.rank == 4 and hilbert == (1, 21, 21, 1)
@@ -362,7 +361,7 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, deep=False,
         items.append(("C3", "boolean4-virtual-character",
                       lambda: check_boolean4_character(ring, group), None))
     items.append(("C4", "scd-validity", lambda: check_scd(ring, group), None))
-    if deep or max(hilbert) <= KAHLER_MIDDLE_CAP:
+    if max(hilbert) <= KAHLER_MIDDLE_CAP:
         items.append(("C5", "kahler-package",
                       lambda: check_kahler(ring, group), None))
     if m.n <= ORACLE_GROUND_CAP:
@@ -388,13 +387,13 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, deep=False,
     return items
 
 
-def run_battery(m: Matroid, group: PermGroup | None = None, deep=False,
+def run_battery(m: Matroid, group: PermGroup | None = None,
                 seed=0) -> list[CheckResult]:
     ring = chow_ring(m)
     if group is None:
         group = matroid_automorphisms(m)
     results: list[CheckResult] = []
-    for battery, name, fn, gap in battery_items(m, ring, group, deep, seed):
+    for battery, name, fn, gap in battery_items(m, ring, group, seed):
         _timed(results, battery, name, fn, known_gap=gap)
     return results
 

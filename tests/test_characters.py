@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chowring.characters import (
@@ -113,6 +115,15 @@ def test_is_genuine_zero_and_not_virtual():
         table.decompose(odd)
 
 
+def test_audit_turns_a_fractional_inner_product_into_table_failure():
+    from chowring.characters import CharacterTable, ClassFunction, TableFailure
+    table = character_table(symmetric_group(3))
+    bogus = (ClassFunction(table.data, (1, 0, 0)),) + table.irreducibles[1:]
+    with pytest.raises(TableFailure, match=r"orthogonality fails at \(0,0\)"):
+        CharacterTable(table.group, table.data, bogus, table.labels,
+                       table.backend)
+
+
 def test_koszul_minor_two_by_two_genuine():
     for m in (boolean(4), uniform(4, 5)):
         ring, table, seq = fy_characters(m)
@@ -133,13 +144,15 @@ def test_toeplitz_out_of_band_is_zero_entry():
 
 
 
-@pytest.mark.parametrize("cols", [(1, 2, 3, 4, 5, 6), (1, 2, 3, 5, 6, 7)])
-def test_det_ring_skipping_zeros_matches_plain_cofactors(cols):
-    _, _, seq = fy_characters(boolean(3))
-    rows = (0, 1, 2, 3, 4, 5)
+@pytest.mark.parametrize("name, backend", [
+    ("boolean(4)", "murnaghan-nakayama"), ("graphic(K4)", "dixon")])
+def test_toeplitz_minor_matches_cofactor_oracle(name, backend):
+    """Fixed-seed minors of sizes 1-5, with indices drawn with repetition
+    from beyond both ends of the band, against cofactor expansion in the
+    ring of class functions."""
+    _, table, seq = fy_characters(corpus_matroid(name))
+    assert table.backend == backend
     zero = seq[0] * 0
-    entries = [[seq[c - r] if 0 <= c - r < len(seq) else zero for c in cols]
-               for r in rows]
 
     def plain(m):
         if len(m) == 1:
@@ -150,7 +163,22 @@ def test_det_ring_skipping_zeros_matches_plain_cofactors(cols):
             total = total + (term if j % 2 == 0 else -term)
         return total
 
-    assert toeplitz_minor(seq, rows, cols) == plain(entries)
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        rows = [rng.randint(-1, len(seq)) for _ in range(size)]
+        cols = [rng.randint(-1, len(seq) + 1) for _ in range(size)]
+        entries = [[seq[c - r] if 0 <= c - r < len(seq) else zero
+                    for c in cols] for r in rows]
+        seen.add(("repeated rows", len(set(rows)) < size))
+        seen.add(("out of band", any(e is zero for row in entries
+                                     for e in row)))
+        seen.add(("nonzero", bool(plain(entries))))
+        assert toeplitz_minor(seq, rows, cols) == plain(entries), (rows, cols)
+    assert {("repeated rows", True), ("out of band", True),
+            ("nonzero", True)} <= seen
+
 
 def test_gamma_numeric():
     assert gamma_expansion([1, 21, 21, 1]) == [1, 18]
@@ -301,7 +329,6 @@ def test_dixon_agrees_with_rim_hook_tables():
 
 
 def test_charpoly_roots_are_the_eigenvalues():
-    import random
     from chowring.characters import _charpoly_mod, _horner, _nullspace_mod
     rng = random.Random(3)
     p = 101

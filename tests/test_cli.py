@@ -4,6 +4,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -77,6 +78,9 @@ def test_bad_document_exit_2(capsys):
     ("char", "pf", "boolean(3)", "--level", "x"),
     ("char", "pf", "boolean(3)", "--level", "0"),
     ("char", "pf", "boolean(3)", "--level", "1001"),
+    ("char", "toeplitz", "boolean(3)", "--composition", ",".join(["1"] * 101)),
+    ("char", "genuine", "boolean(3)", "--minor",
+     ",".join(["0"] * 101) + ":" + ",".join(["1"] * 101)),
 ])
 def test_input_errors_exit_2(capsys, argv):
     code = main(list(argv))
@@ -300,6 +304,17 @@ def test_char_toeplitz(capsys):
     assert json.loads(out)["genuine"] is True
 
 
+def test_char_toeplitz_with_20_parts_is_quick(capsys):
+    """A minor of 20 rows is one 20 x 20 integer determinant per class."""
+    t0 = time.perf_counter()
+    code, out = run(capsys, "--json", "char", "toeplitz", "boolean(5)",
+                    "--composition", ",".join(["1"] * 20))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(out)["genuine"] is True
+    assert elapsed < 2.0
+
+
 def test_koszul_commands_and_exit_codes(capsys):
     code, _ = run(capsys, "koszul", "check-2x2", "boolean(4)")
     assert code == 0
@@ -423,6 +438,13 @@ def test_verify_option_before_the_command_exits_2(capsys, option):
     assert exc.value.code == 2
 
 
+def test_verify_deep_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "boolean(3)", "--deep"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deep" in capsys.readouterr().err
+
+
 def test_timings_add_only_elapsed(capsys):
     code, plain = run(capsys, "verify", "all", "boolean(2)", "--json")
     timed_code, timed = run(capsys, "verify", "all", "boolean(2)", "--json",
@@ -508,6 +530,19 @@ def _loaded_modules(*argv):
 
 _UNUSED_BY_BURNSIDE = {"chowring.characters", "chowring.scd", "chowring.verify",
                        "chowring.linalg", "dataclasses", "fractions"}
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (("verify", "all", "boolean(4)"), 0),
+    (("char", "genuine", "boolean(4)"), 0),
+], ids=["verify all", "char genuine"])
+def test_exact_commands_load_no_fractions(argv, verdict):
+    """Inner products and determinants are integer-only: no command loads
+    `fractions`, or `decimal` under it."""
+    code, modules = _loaded_modules(*argv)
+    assert code == verdict
+    assert "chowring.linalg" in modules
+    assert modules & {"fractions", "decimal"} == set()
 
 
 def test_cli_import_loads_no_handler_layer():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -15,6 +16,59 @@ def test_bareiss_det_small():
     assert bareiss_det([]) == 1
     # known 3x3
     assert bareiss_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+
+
+def _leibniz_det(mat):
+    """The determinant as a signed sum over permutations."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def _det_cases(rng):
+    """(kind, matrix) with n <= 6: random, singular (a row that combines two
+    others), and ones whose first column is zero above the last row, so the
+    elimination must swap rows, the reversed identity matrices among them."""
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        yield "random", [[rng.randint(-9, 9) for _ in range(n)]
+                         for _ in range(n)]
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n - 1)]
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        mat.insert(rng.randrange(n), [a * x + b * y
+                                      for x, y in zip(mat[0], mat[-1])])
+        yield "singular", mat
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(min(i + 1, n - 1)):
+                mat[i][j] = 0  # on and below the diagonal
+        # only the last row, kept at its diagonal, can lead column 0
+        mat[-1][0] = rng.choice([-2, -1, 1, 3])
+        yield "row swaps", mat
+    for n in range(2, 7):
+        yield "row swaps", [[int(i + j == n - 1) for j in range(n)]
+                            for i in range(n)]
+
+
+def test_bareiss_det_matches_leibniz_oracle():
+    kinds = set()
+    for kind, mat in _det_cases(random.Random(23)):
+        want = _leibniz_det(mat)
+        assert bareiss_det(mat) == want, (kind, mat)
+        kinds.add((kind, want == 0))
+    assert {("singular", True), ("row swaps", False),
+            ("random", False)} <= kinds
 
 
 def test_frac_rank():
