@@ -1,12 +1,14 @@
 """Burnside ring arithmetic over conjugacy classes of subgroups.
 
 Genuine G-sets are decomposed orbit by orbit; each orbit contributes its
-point stabilizer's conjugacy class to a lazily grown registry. The registry
-keeps one map from element bitsets to class indices: the first subgroup met
-of a class registers it together with the bitsets of all its G-conjugates,
-so naming a stabilizer is a lookup and no conjugacy search runs. Two genuine
-G-sets are isomorphic iff their coefficient vectors agree, so inequalities
-b >= b' are coefficientwise.
+point stabilizer's conjugacy class to a lazily grown registry. Every
+stabilizer met fixes a family of subsets of the ground set (flats, or
+points), so it is the subgroup of G fixing each of its own orbits there;
+the registry names its class by the G-orbit of that orbit partition. The
+first subgroup met of a class registers the whole G-orbit of its
+partition, so naming a stabilizer is a lookup and no conjugacy search runs.
+Two genuine G-sets are isomorphic iff their coefficient vectors agree, so
+inequalities b >= b' are coefficientwise.
 
 Products of FY bases are decomposed without listing them, never through a
 table of marks. A group element fixes an FY monomial iff it fixes each of
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 from collections import Counter
 from math import prod
+from operator import itemgetter
 
 from .chow import ChowRing
 from .matroid import members
-from .perm import (NotFullSymmetricGroup, PermGroup, compose, inverse,
-                   is_young_subgroup, orbit)
+from .perm import (NotFullSymmetricGroup, PermGroup, compose, identity,
+                   inverse, is_young_subgroup, orbit)
 
 
 class BurnsideError(Exception):
@@ -69,59 +72,86 @@ def product(x: GSet, y: GSet) -> GSet:
     return GSet(x.group, tuple((a, b) for a in x.elements for b in y.elements), act)
 
 
+_NOT_AN_ORBIT_STABILIZER = "subgroup is not the stabilizer of its orbits"
+
+
 class SubgroupRegistry:
     """Canonical list of stabilizer classes of one group, grown lazily.
 
-    A subgroup is given as a bitset over `group.elements`. The first subgroup
-    met of each class is its entry in `classes`, and the bitsets of all its
-    G-conjugates are cached on the spot, so a bitset missing from the cache
-    starts a new class."""
+    A subgroup K is given as a bitset over `group.elements`. It must be the
+    stabilizer of a family of subsets of the ground set. Each subset is then
+    a union of K-orbits, so K is G_O, the elements of G that fix each block
+    of K's orbit partition O. Conjugation by g sends G_O to G_gO, so K's
+    class is named by the G-orbit of O. The first subgroup met of each
+    class is its entry in `classes`, and its O is its entry in
+    `partitions`; the whole G-orbit of O is mapped to the class on the
+    spot. A later K whose partition P is mapped there lies in G_P, a
+    conjugate of the class, so it is G_P when the orders agree. Each bitset
+    met is memoised.
+
+    A partition of the ground set is a tuple of block labels, one per
+    point, numbered in order of first appearance, so equal partitions are
+    equal tuples."""
 
     def __init__(self, group: PermGroup):
         self.group = group
         self.classes: list[frozenset] = []
+        self.partitions: list[tuple] = []  # orbit labels of each class
         self._index: dict[int, int] = {}  # element bitset -> class index
+        self._orbit_index: dict[tuple, int] = {}  # orbit labels -> class
 
     def classify(self, bits: int) -> int:
         idx = self._index.get(bits)
         if idx is None:
-            idx = len(self.classes)
-            els = self.group.elements
-            self.classes.append(frozenset(els[i] for i in _bit_indices(bits)))
-            for conj in self._conjugates(bits):
-                self._index[conj] = idx
+            moves = self.group.point_bitsets()
+            labels = _orbit_labels(bits, moves)
+            idx = self._orbit_index.get(labels)
+            if idx is None:
+                whole = (1 << self.group.order) - 1
+                fixing = whole
+                for block in _blocks(labels):
+                    fixing &= _set_stab(moves, block, whole)
+                if bits != fixing:
+                    raise InvalidAction(_NOT_AN_ORBIT_STABILIZER)
+                idx = len(self.classes)
+                els = self.group.elements
+                self.classes.append(frozenset(els[i] for i in _bit_indices(bits)))
+                self.partitions.append(labels)
+                self._add_orbit(labels, idx)
+            elif bits.bit_count() != len(self.classes[idx]):
+                raise InvalidAction(_NOT_AN_ORBIT_STABILIZER)
+            self._index[bits] = idx
         return idx
 
-    def _conjugates(self, bits: int) -> set[int]:
-        """Bitsets of the G-conjugates of a subgroup, by closing under
-        conjugation by the generators."""
-        maps = self.group.conjugation_maps()
-        nbytes = (len(self.group.elements) + 7) // 8
-        seen = {bits}
-        frontier = [_bit_indices(bits)]
+    def _add_orbit(self, labels: tuple, idx: int):
+        """Map every G-image of a partition to class idx, by closing it
+        under the generators. The image under g gives c the label of
+        g^-1(c), relabelled in order of first appearance."""
+        n = self.group.n
+        backs = [itemgetter(*inverse(g)) for g in self.group.gens
+                 if g != identity(n)]  # a gather over one point gives no tuple
+        index = self._orbit_index
+        index[labels] = idx
+        frontier = [labels]
         while frontier:
-            idxs = frontier.pop()
-            for cmap in maps:
-                image = [cmap[i] for i in idxs]
-                buf = bytearray(nbytes)
-                for i in image:
-                    buf[i >> 3] |= 1 << (i & 7)
-                conj = int.from_bytes(buf, "little")
-                if conj not in seen:
-                    seen.add(conj)
-                    frontier.append(image)
-        return seen
+            part = frontier.pop()
+            for back in backs:
+                relabel: dict = {}
+                moved = tuple([relabel.setdefault(x, len(relabel))
+                               for x in back(part)])
+                if moved not in index:
+                    index[moved] = idx
+                    frontier.append(moved)
 
     def order_of(self, idx: int) -> int:
         return len(self.classes[idx])
 
     def describe(self, idx: int) -> str:
-        h = self.classes[idx]
         if self.group.is_full_symmetric():
-            lam = is_young_subgroup(self.group, self.group.subgroup(h))
-            if lam is not None:
-                return "S(" + ",".join(map(str, lam)) + ")"
-        return f"subgroup of order {len(h)} (class {idx})"
+            # G_O is the Young subgroup of the orbit sizes
+            lam = sorted(Counter(self.partitions[idx]).values(), reverse=True)
+            return "S(" + ",".join(map(str, lam)) + ")"
+        return f"subgroup of order {len(self.classes[idx])} (class {idx})"
 
 
 class BurnsideElement:
@@ -189,6 +219,8 @@ def burnside_geq(a: BurnsideElement, b: BurnsideElement):
 
 
 def decompose(x: GSet, registry: SubgroupRegistry) -> BurnsideElement:
+    """Orbit classes of x, orbit by orbit. Each point stabilizer must fix a
+    family of subsets of the ground set, as `SubgroupRegistry` needs."""
     if x.group is not registry.group:
         raise GroupMismatch("G-set and registry over different groups")
     act = x.act
@@ -231,16 +263,42 @@ def marks_consistent(x: GSet, belt: BurnsideElement) -> bool:
 
 # -- FY-product decomposition and Burnside positivity checks ----------------
 
-def _point_bitsets(group: PermGroup):
-    """moves[e][c]: bitset over group.elements of the g with g(e) = c."""
-    size = group.order
-    out = []
-    for e in range(group.n):
-        rows = [bytearray(b"0" * size) for _ in range(group.n)]
-        for i, g in enumerate(group.elements):
-            rows[g[e]][size - 1 - i] = 49  # ord("1")
-        out.append([int(row, 2) for row in rows])
-    return out
+def _orbit_labels(bits: int, moves) -> tuple:
+    """The orbits on the ground set of the subgroup with element bitset
+    bits, as block labels: e and c share one iff some element of the
+    subgroup sends e to c."""
+    n = len(moves)
+    labels = [-1] * n
+    nxt = 0
+    for e in range(n):
+        if labels[e] < 0:
+            row = moves[e]
+            for c in range(e, n):
+                if labels[c] < 0 and bits & row[c]:
+                    labels[c] = nxt
+            nxt += 1
+    return tuple(labels)
+
+
+def _blocks(labels: tuple) -> list[int]:
+    """Point masks of the blocks of a labelled partition, in label order."""
+    masks = [0] * (max(labels, default=-1) + 1)
+    for e, label in enumerate(labels):
+        masks[label] |= 1 << e
+    return masks
+
+
+def _set_stab(moves, mask: int, whole: int) -> int:
+    """Bitset of the g with g(S) = S for the point set S = mask: each e in S
+    goes into S."""
+    bits = whole
+    inside = members(mask)
+    for e in inside:
+        into = 0
+        for c in inside:
+            into |= moves[e][c]
+        bits &= into
+    return bits
 
 
 def _bit_indices(bits: int):
@@ -266,11 +324,11 @@ class BurnsideContext:
     def _monomial_stabs(self, k: int) -> list[int]:
         got = self._stabs.get(k)
         if got is None:
-            if self._var_stabs is None:
-                moves = _point_bitsets(self.group)
-                self._var_stabs = [self._flat_stab(moves, f)
-                                   for f in self.ring.vars]
             whole = (1 << self.group.order) - 1
+            if self._var_stabs is None:
+                moves = self.group.point_bitsets()
+                self._var_stabs = [_set_stab(moves, f, whole)
+                                   for f in self.ring.vars]
             vs = self._var_stabs
             got = []
             for mono in self._basis(k):
@@ -280,17 +338,6 @@ class BurnsideContext:
                 got.append(bits)
             self._stabs[k] = got
         return got
-
-    def _flat_stab(self, moves, flat: int) -> int:
-        """Bitset of the g with g(F) = F: each e in F goes into F."""
-        bits = (1 << self.group.order) - 1
-        inside = members(flat)
-        for e in inside:
-            into = 0
-            for c in inside:
-                into |= moves[e][c]
-            bits &= into
-        return bits
 
     def _first_orbits(self, k: int) -> list[int]:
         """Stabilizer bitset of the first monomial, in basis order, of each

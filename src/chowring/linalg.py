@@ -2,9 +2,10 @@
 
 The program's checks use the fraction-free routines: `int_kernel` (kernel
 and rank), `bareiss_det`, `int_positive_definite` and `sparse_int_rank`.
-`int_kernel` and `bareiss_det` read their answers off one Gauss-Jordan
-Bareiss elimination, `_bareiss`, which also computes every exact dense
-determinant the characters layer needs (Toeplitz minors, class by class).
+`int_kernel` and `bareiss_det` read their answers off one Bareiss
+elimination, `_bareiss`: Gauss-Jordan for the kernel, forward only for the
+determinant, which is also every exact dense determinant the characters
+layer needs (Toeplitz minors, class by class).
 `int_positive_definite` keeps its own elimination, since it needs the
 leading principal minors in diagonal order. `frac_rank`, `frac_kernel` and
 `symmetric_positive_definite` compute the same things over Q with
@@ -98,17 +99,19 @@ def frac_kernel(rows, ncols) -> list[list]:
     return basis
 
 
-def _bareiss(rows, ncols):
-    """Gauss-Jordan elimination in Bareiss form on an integer matrix.
+def _bareiss(rows, ncols, upward=True):
+    """Bareiss elimination on an integer matrix: Gauss-Jordan, or forward
+    only when upward is False.
 
     Each step takes as pivot the entry of fewest bits in the next column,
-    swaps its row to the top of the unreduced rows, and replaces every other
-    row by (pivot * row - entry * pivot row) // previous pivot, an exact
-    division whose quotients are minors of M (Bareiss 1968). Returns the
-    reduced rows, the pivot columns, the last pivot d and the sign of the
-    row permutation. Every pivot row holds d at its pivot column, and d is
-    the minor of the row-permuted M on its first rank rows and the pivot
-    columns; for a square M of full rank, det M = sign * d.
+    swaps its row to the top of the unreduced rows, and replaces every row
+    below it, and with upward every row above it too, by (pivot * row -
+    entry * pivot row) // previous pivot, an exact division whose quotients
+    are minors of M (Bareiss 1968). Returns the reduced rows, the pivot
+    columns, the last pivot d and the sign of the row permutation. d is the
+    minor of the row-permuted M on its first rank rows and the pivot
+    columns, so for a square M of full rank, det M = sign * d; with upward,
+    every pivot row holds d at its pivot column.
     """
     m = [list(row) for row in rows]
     pivot_cols = []
@@ -127,14 +130,18 @@ def _bareiss(rows, ncols):
             sign = -sign
         prow = m[top]
         pv = prow[col]
-        for i, ri in enumerate(m):
+        # below the pivot row, the entries left of col are already zero
+        lo = 0 if upward else col
+        tail = prow[lo:]
+        for i in range(0 if upward else top + 1, len(m)):
             if i == top:
                 continue
+            ri = m[i]
             f = ri[col]
             if f:
-                m[i] = [(pv * x - f * y) // prev for x, y in zip(ri, prow)]
+                ri[lo:] = [(pv * x - f * y) // prev for x, y in zip(ri[lo:], tail)]
             elif pv != prev:
-                m[i] = [pv * x // prev for x in ri]
+                ri[lo:] = [pv * x // prev for x in ri[lo:]]
         pivot_cols.append(col)
         prev = pv
     return m, pivot_cols, prev, sign
@@ -166,10 +173,10 @@ def int_kernel(rows, ncols) -> list[list[int]]:
 
 def bareiss_det(matrix) -> int:
     """Exact determinant of a square integer matrix (a list of rows): the
-    sign of `_bareiss`'s row permutation times its last pivot, or 0 when a
-    column has no pivot."""
+    sign of the row permutation of a forward `_bareiss` times its last
+    pivot, or 0 when a column has no pivot."""
     n = len(matrix)
-    _, pivot_cols, d, sign = _bareiss(matrix, n)
+    _, pivot_cols, d, sign = _bareiss(matrix, n, upward=False)
     return sign * d if len(pivot_cols) == n else 0
 
 

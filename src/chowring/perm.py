@@ -8,10 +8,10 @@ candidate image finds a coset representative, and the elements are the
 products of one representative per level.
 
 Element conjugacy classes are orbits of the action `conjugate`, taken over
-one index map per generator (`PermGroup.conjugation_maps`). Subgroup
-classes are named in `burnside.SubgroupRegistry`, which caches every
-conjugate of each class it meets; `subgroup_invariant` and
-`are_conjugate_subgroups` stay here as the independent test oracle.
+one index map per generator (`PermGroup.conjugation_maps`). Stabilizer
+classes are named in `burnside.SubgroupRegistry` by the G-orbits of their
+orbit partitions, read off `PermGroup.point_bitsets`; `subgroup_invariant`
+and `are_conjugate_subgroups` stay here as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ class PermGroup:
         self.element_set = frozenset(self.elements)
         self._classes = None
         self._conj_maps = None
+        self._moves = None
 
     @property
     def order(self) -> int:
@@ -150,6 +151,20 @@ class PermGroup:
 
     def is_full_symmetric(self) -> bool:
         return self.order == factorial(self.n)
+
+    def point_bitsets(self):
+        """moves[e][c]: bitset over `elements` of the g with g(e) = c;
+        built once per group."""
+        if self._moves is None:
+            size = self.order
+            moves = []
+            for e in range(self.n):
+                rows = [bytearray(b"0" * size) for _ in range(self.n)]
+                for i, g in enumerate(self.elements):
+                    rows[g[e]][size - 1 - i] = 49  # ord("1")
+                moves.append([int(row, 2) for row in rows])
+            self._moves = moves
+        return self._moves
 
     def conjugation_maps(self):
         """Per generator s other than the identity, the index map

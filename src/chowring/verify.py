@@ -357,7 +357,7 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, seed=0):
         items.append(("C1", "lambda-pi-table",
                       lambda: check_lambda_table(ring), None))
     items.append(("C2", "paren-encoding-example", check_paren_example, None))
-    if is_b4:
+    if is_b4 and group.is_full_symmetric():  # the claim is about S4
         items.append(("C3", "boolean4-virtual-character",
                       lambda: check_boolean4_character(ring, group), None))
     items.append(("C4", "scd-validity", lambda: check_scd(ring, group), None))
@@ -378,7 +378,7 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, seed=0):
                   koszul_gap_note(m.rank)))
     items.append(("C9", "gamma-positivity",
                   lambda: check_gamma(ring, group), None))
-    if is_b3:
+    if is_b3 and group.is_full_symmetric():  # the claim is about S3
         items.append(("C9", "boolean3-burnside-gamma",
                       lambda: check_boolean3_burnside_gamma(ring, group, ctx),
                       None))

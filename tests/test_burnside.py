@@ -1,19 +1,21 @@
 import sys
+from collections import Counter
 
 import pytest
 
 from chowring.burnside import (
-    BadIndices, BurnsideContext, GroupMismatch, GSet, SubgroupRegistry,
-    burnside_geq, decompose, marks_consistent, pf2_minor_check,
-    pf2_quadruples, product, young_stabilizer_audit,
+    BadIndices, BurnsideContext, GroupMismatch, GSet, InvalidAction,
+    SubgroupRegistry, burnside_geq, decompose, marks_consistent,
+    pf2_minor_check, pf2_quadruples, product, young_stabilizer_audit,
 )
 from chowring.chow import chow_ring
 from chowring.cli import main
 from chowring.corpus import corpus_matroid
-from chowring.matroid import boolean, graphic, uniform
+from chowring.matroid import boolean, graphic, mask_of, uniform
 from chowring.perm import (NotFullSymmetricGroup, are_conjugate_subgroups,
-                           conjugate, matroid_automorphisms, symmetric_group,
-                           trivial_group)
+                           conjugate, from_cycles, is_young_subgroup,
+                           matroid_automorphisms, orbit, perm_mask,
+                           symmetric_group, trivial_group)
 
 
 def ctx_for(m):
@@ -209,8 +211,9 @@ def test_engine_products_pass_marks_audit(doc, key):
 
 
 def test_engine_caches_whole_conjugacy_classes(monkeypatch, capsys):
-    # each new class's conjugates are cached, so no stabilizer ever needs the
-    # transporter search or the invariant prefilter; make both raise
+    # each new class maps the G-orbit of its orbit partition, so no
+    # stabilizer ever needs the transporter search or the invariant
+    # prefilter; make both raise
     def refuse(*args):
         raise AssertionError("conjugacy search in a production path")
 
@@ -229,22 +232,66 @@ def test_engine_caches_whole_conjugacy_classes(monkeypatch, capsys):
     assert len(ctx.registry.classes) == 10  # graphic(K5)
 
 
+def assert_class_map(ctx):
+    """The registry's classes are pairwise non-conjugate, each class maps
+    the G-orbit of its orbit partition, |G|/|N_G(H)| partitions, and every
+    stabilizer bitset met is conjugate to its class."""
+    group, reg = ctx.group, ctx.registry
+    classes, els = reg.classes, group.elements
+    for a in range(len(classes)):
+        for b in range(a):
+            assert not are_conjugate_subgroups(group, classes[a], classes[b])
+    partitions = Counter(reg._orbit_index.values())
+    for idx, h in enumerate(classes):
+        normalizer = sum(1 for g in els if all(conjugate(g, x) in h for x in h))
+        assert partitions[idx] == group.order // normalizer
+    for bits, idx in reg._index.items():
+        k = frozenset(g for i, g in enumerate(els) if bits >> i & 1)
+        assert are_conjugate_subgroups(group, classes[idx], k)
+
+
 @pytest.mark.parametrize("doc", ("boolean(4)", "graphic(K4)", "graphic(W4)",
                                  "graphic(K5)", "uniform(4,6)"))
 def test_class_map_against_transporter_search(doc):
     ctx = ctx_for(corpus_matroid(doc))
     for key in c7_c8_keys(ctx.ring.r):
         ctx.decompose_degrees(key)
-    group, classes = ctx.group, ctx.registry.classes
-    els = group.elements
-    for a in range(len(classes)):
-        for b in range(a):
-            assert not are_conjugate_subgroups(group, classes[a], classes[b])
-    cached = [[] for _ in classes]
-    for bits, idx in ctx.registry._index.items():
-        cached[idx].append(frozenset(g for i, g in enumerate(els)
-                                     if bits >> i & 1))
-    for h, conjugates in zip(classes, cached):
-        normalizer = sum(1 for g in els if all(conjugate(g, x) in h for x in h))
-        assert len(conjugates) == group.order // normalizer
-        assert all(are_conjugate_subgroups(group, h, k) for k in conjugates)
+    assert_class_map(ctx)
+
+
+@pytest.mark.parametrize("doc", CROSS_CHECK_DOCS)
+def test_classes_are_the_stabilizers_of_their_orbits(doc):
+    ctx = ctx_for(corpus_matroid(doc))
+    for key in c7_c8_keys(ctx.ring.r):
+        ctx.decompose_degrees(key)
+    group, reg = ctx.group, ctx.registry
+    for idx, (h, labels) in enumerate(zip(reg.classes, reg.partitions)):
+        orbits = {mask_of(orbit(group.subgroup(h), e, lambda g, x: g[x]))
+                  for e in range(group.n)}
+        assert orbits == {mask_of(e for e in range(group.n) if labels[e] == b)
+                          for b in labels}
+        fixing = {g for g in group.elements
+                  if all(perm_mask(g, o) == o for o in orbits)}
+        assert fixing == h
+        if group.is_full_symmetric():
+            lam = is_young_subgroup(group, group.subgroup(h))
+            assert reg.describe(idx) == f"S({','.join(map(str, lam))})"
+
+
+def test_classify_rejects_a_subgroup_that_fixes_more_than_it_holds():
+    # <(1 2)(3 4)> has the orbits {1,2} and {3,4}, whose stabilizer in S4 is
+    # S2 x S2, of order 4
+    g = symmetric_group(4)
+    index = {x: i for i, x in enumerate(g.elements)}
+
+    def bits(*cycle_lists):
+        return sum(1 << index[from_cycles(4, c)] for c in cycle_lists)
+
+    double = bits([], [(0, 1), (2, 3)])
+    with pytest.raises(InvalidAction):
+        SubgroupRegistry(g).classify(double)
+    reg = SubgroupRegistry(g)
+    reg.classify(bits([], [(0, 1)], [(2, 3)], [(0, 1), (2, 3)]))
+    with pytest.raises(InvalidAction):
+        reg.classify(double)
+    assert len(reg.classes) == 1

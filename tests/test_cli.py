@@ -10,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from chowring.cli import main
+from chowring.burnside import BurnsideContext
+from chowring.chow import chow_ring
+from chowring.cli import load_group, main
+from chowring.corpus import corpus_matroid
+from chowring.perm import matroid_automorphisms
+from test_burnside import assert_class_map, c7_c8_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -143,6 +148,99 @@ def test_bad_group_and_omega_files_exit_2(tmp_path, capsys, flag, content,
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
+
+
+GROUP_FILE_DOCS = ("boolean(4)", "uniform(4,6)", "graphic(K4)")
+GROUP_FLAWS = ("perm", "repeat", "length", "zero", "text", "degree", "missing")
+
+
+def _generated_group_files(seed=5, count=40):
+    """Fixed-seed --group documents, each with its matroid: up to three
+    random automorphisms as generators, in about half of them with one flaw
+    added: a random permutation (no automorphism of graphic(K4), mostly), a
+    repeated or an extra point, 0-based points, a string point, a wrong
+    degree or no generators."""
+    rng = random.Random(seed)
+    files = []
+    for _ in range(count):
+        doc = rng.choice(GROUP_FILE_DOCS)
+        group = matroid_automorphisms(corpus_matroid(doc))
+        n = group.n
+        gens = [[x + 1 for x in g]
+                for g in rng.sample(group.elements, rng.randint(0, 3))]
+        payload = {"degree": n, "generators": gens}
+        flaw = rng.choice((None,) * len(GROUP_FLAWS) + GROUP_FLAWS)
+        if flaw == "perm":
+            gens.append(rng.sample(range(1, n + 1), n))
+        elif flaw and not gens:
+            gens.append(list(range(1, n + 1)))
+        if flaw == "repeat":
+            gens[0][0] = gens[0][1]
+        elif flaw == "length":
+            gens[0].append(n + 1)
+        elif flaw == "zero":
+            gens[0] = [x - 1 for x in gens[0]]
+        elif flaw == "text":
+            gens[0][0] = str(gens[0][0])
+        elif flaw == "degree":
+            payload["degree"] = n + rng.choice([-1, 1])
+        elif flaw == "missing":
+            del payload["generators"]
+        files.append((doc, payload))
+    return files
+
+
+def test_generated_group_files_keep_the_exit_code_contract(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    valid = []
+    for doc, payload in _generated_group_files():
+        path.write_text(json.dumps(payload))
+        codes = []
+        for command in (("chow", "hilbert"), ("burnside", "decompose"),
+                        ("verify", "all")):
+            code = main([*command, doc, "--group", str(path), "--json"])
+            out, err = capsys.readouterr()
+            codes.append(code)
+            assert "Traceback" not in err, (command, doc, payload)
+            if code == 2:
+                assert err.startswith("error: ") and not out, (command, payload)
+            else:
+                # graphic(K4) has rank 3: C8 fails on the documented gap
+                failed = [c for c in json.loads(out).get("checks", [])
+                          if not c["passed"]]
+                assert (code == 1) == bool(failed), (command, doc, payload)
+                assert all(c.get("known_gap") for c in failed), \
+                    (command, doc, payload)
+        # all three read the group file first: they all reject it or none
+        assert codes[:2] in ([0, 0], [2, 2]) and (codes[2] == 2) == \
+            (codes[0] == 2), (doc, payload)
+        if codes[0] == 0:
+            valid.append(doc)
+            m = corpus_matroid(doc)
+            ctx = BurnsideContext(chow_ring(m), load_group(str(path), m))
+            for key in c7_c8_keys(ctx.ring.r):
+                ctx.decompose_degrees(key)
+            assert_class_map(ctx)
+    assert set(valid) == set(GROUP_FILE_DOCS) and 10 <= len(valid) <= 30
+
+
+@pytest.mark.parametrize("doc, n", [("boolean(3)", 3), ("boolean(4)", 4)])
+def test_claims_about_the_full_symmetric_group_skip_its_subgroups(
+        tmp_path, capsys, doc, n):
+    # C3 and boolean3-burnside-gamma state facts about S4 and S3; under
+    # <(1 2)> they would fail although nothing is wrong
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": n, "generators": [
+        [2, 1] + list(range(3, n + 1))]}))
+    main(["verify", "all", doc, "--group", str(path), "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    names = {c["name"] for c in checks}
+    assert not names & {"boolean4-virtual-character",
+                        "boolean3-burnside-gamma"}
+    assert all(c["passed"] or c.get("known_gap") for c in checks)
+    main(["verify", "all", doc, "--json"])
+    names = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert names & {"boolean4-virtual-character", "boolean3-burnside-gamma"}
 
 
 @pytest.mark.parametrize("content, message", [
