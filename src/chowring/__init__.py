@@ -12,8 +12,8 @@ from .perm import (
     are_conjugate_subgroups, is_young_subgroup,
 )
 from .chow import (
-    ChowRing, ChowElement, LefschetzElement, chow_ring, lefschetz_omega,
-    check_submodular, default_coefficient_rule,
+    ChowRing, LefschetzElement, chow_ring, lefschetz_omega,
+    default_coefficient_rule,
 )
 
 __version__ = "0.1.0"

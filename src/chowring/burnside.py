@@ -57,9 +57,6 @@ class GSet:
         self.elements = elements
         self.act = act
 
-    def __len__(self):
-        return len(self.elements)
-
 
 def product(x: GSet, y: GSet) -> GSet:
     if x.group is not y.group:
@@ -143,9 +140,6 @@ class SubgroupRegistry:
                     index[moved] = idx
                     frontier.append(moved)
 
-    def order_of(self, idx: int) -> int:
-        return len(self.classes[idx])
-
     def describe(self, idx: int) -> str:
         if self.group.is_full_symmetric():
             # G_O is the Young subgroup of the orbit sizes
@@ -184,10 +178,6 @@ class BurnsideElement:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, BurnsideElement)
-                and self.registry is other.registry and self.coeffs == other.coeffs)
 
     def _same(self, other):
         if self.registry is not other.registry:

@@ -100,24 +100,11 @@ class Cyc:
         self.e = e
         self.coeffs = tuple(work[:deg])
 
-    @classmethod
-    def root(cls, e, power=1):
-        z = [0] * e
-        z[power % e] = 1
-        return cls(e, z)
-
     def __add__(self, other):
         other = self._lift(other)
         return Cyc(self.e, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return Cyc(self.e, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -133,19 +120,10 @@ class Cyc:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Cyc(self.e, [-a for a in self.coeffs])
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.is_rational() and self.coeffs[0] == other
         return isinstance(other, Cyc) and self.e == other.e and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.e, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def _lift(self, other):
         if isinstance(other, int):
@@ -190,15 +168,6 @@ class ClassData:
         self.reps = reps  # class representatives
         self.sizes = sizes
         self.inverse_map = inverse_map  # index of the class of g^-1
-
-    def _key(self):
-        return self.group, self.reps, self.sizes, self.inverse_map
-
-    def __eq__(self, other):
-        return isinstance(other, ClassData) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def class_data(group: PermGroup) -> ClassData:
@@ -250,11 +219,8 @@ class ClassFunction:
                 and self.data.group is other.data.group
                 and self.values == other.values)
 
-    def __hash__(self):
-        return hash(self.values)
-
     def __bool__(self):
-        return any(bool(v) for v in self.values)
+        return any(v != 0 for v in self.values)
 
     def degree(self):
         return as_rational(self.values[0])
@@ -279,10 +245,6 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction{self.values}"
-
-
-def trivial_character(data: ClassData) -> ClassFunction:
-    return ClassFunction(data, [1] * len(data.reps))
 
 
 def perm_character(data: ClassData, elements, act) -> ClassFunction:

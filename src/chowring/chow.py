@@ -46,10 +46,6 @@ class UnknownVariable(ChowError):
     pass
 
 
-class NotTopDegree(ChowError):
-    pass
-
-
 class NonSquare(ChowError):
     pass
 
@@ -373,13 +369,14 @@ class ChowRing:
             self._nf_cache[mono] = got
         return got
 
-    def normal_form(self, terms) -> "ChowElement":
+    def normal_form(self, terms) -> dict:
+        """Normal form of {monomial: coeff}, as {fy_mono: coeff}."""
         acc = {}
         for mono, c in terms.items():
             if c:
                 for m2, c2 in self.nf_monomial(tuple(mono)).items():
                     acc[m2] = acc.get(m2, 0) + c * c2
-        return ChowElement(self, {m: c for m, c in acc.items() if c})
+        return {m: c for m, c in acc.items() if c}
 
     def deg_top(self, mono) -> int:
         """deg of a monomial of total degree r (0 unless it reduces to x_E^r)."""
@@ -387,22 +384,14 @@ class ChowRing:
 
     # -- ring operations ------------------------------------------------------
 
-    def one(self) -> "ChowElement":
-        return ChowElement(self, {UNIT: 1})
-
-    def multiply(self, a: "ChowElement", b: "ChowElement") -> "ChowElement":
+    def multiply(self, a: dict, b: dict) -> dict:
+        """Product of two normal forms {fy_mono: coeff}, in normal form."""
         acc = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 for m3, c3 in self.nf_monomial(mono_mul(m1, m2)).items():
                     acc[m3] = acc.get(m3, 0) + c1 * c2 * c3
-        return ChowElement(self, {m: c for m, c in acc.items() if c})
-
-    def degree_map(self, a: "ChowElement") -> int:
-        for m in a.terms:
-            if mono_degree(m) != self.r:
-                raise NotTopDegree(self.mono_str(m))
-        return a.terms.get(self.top_mono, 0)
+        return {m: c for m, c in acc.items() if c}
 
     # -- Poincare pairing, Lefschetz, Hodge-Riemann ----------------------------
 
@@ -428,28 +417,34 @@ class ChowRing:
             self._pairing[k] = got
         return got
 
-    def omega_power(self, omega: "LefschetzElement", p: int) -> "ChowElement":
+    def omega_power(self, omega: "LefschetzElement", p: int) -> dict:
+        """The normal form of omega^p. Memoised per ring; the dict is shared
+        and must not be modified."""
         key = (tuple(sorted(omega.coeffs.items())), p)
         got = self._omega_powers.get(key)
         if got is None:
             if p == 0:
-                got = self.one()
+                got = {UNIT: 1}
             else:
-                got = self.multiply(self.omega_power(omega, p - 1), omega.element)
+                got = self.multiply(self.omega_power(omega, p - 1), omega.terms)
             self._omega_powers[key] = got
         return got
 
-    def mult_matrix(self, elem: "ChowElement", k: int):
-        """Matrix (rows = target FY basis) of a |-> a * elem on FY^k."""
-        d = elem.degree()
+    def mult_matrix(self, terms: dict, k: int):
+        """Matrix (rows = target FY basis) of a |-> a * e on FY^k, for a
+        homogeneous element e given as its terms {fy_mono: coeff}."""
+        degs = {mono_degree(m) for m in terms}
+        if len(degs) > 1:
+            raise ChowError("inhomogeneous element")
+        d = degs.pop() if degs else 0
         src = self.fy_basis(k)
         tgt = self.fy_index(k + d)
-        terms = [(m, c, self.support(m)) for m, c in elem.terms.items()]
+        factors = [(m, c, self.support(m)) for m, c in terms.items()]
         cols = []
         for a in src:
             col = [0] * len(tgt)
             off = ~self.comparable_with(a)
-            for m, c, bits in terms:
+            for m, c, bits in factors:
                 if not bits & off:
                     for m2, c2 in self.nf_monomial(mono_mul(a, m)).items():
                         col[tgt[m2]] += c * c2
@@ -468,7 +463,7 @@ class ChowRing:
                 n = len(self.fy_basis(k))
                 got = [[int(i == j) for j in range(n)] for i in range(n)]
             elif p == 1:
-                got = self.mult_matrix(omega.element, k)
+                got = self.mult_matrix(omega.terms, k)
             else:
                 got = _matmul(self.omega_map(omega, 1, k + p - 1),
                               self.omega_map(omega, p - 1, k))
@@ -481,7 +476,8 @@ class ChowRing:
         mat = self.omega_map(omega, self.r - 2 * k, k)
         a_k = len(self.fy_basis(k))
         from . import linalg
-        rank = a_k - len(linalg.int_kernel(mat, a_k))
+        rank = linalg.sparse_int_rank([{j: x for j, x in enumerate(row) if x}
+                                       for row in mat])
         return {
             "check": "hard_lefschetz", "k": k, "power": self.r - 2 * k,
             "rank": rank, "expected": a_k, "passed": rank == a_k,
@@ -621,79 +617,15 @@ class ChowRing:
         return got
 
 
-class ChowElement:
-    """Integer combination of FY monomials (always in normal form)."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: ChowRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
-
-    def degree(self) -> int:
-        degs = {mono_degree(m) for m in self.terms}
-        if len(degs) > 1:
-            raise ChowError("inhomogeneous element")
-        return degs.pop() if degs else 0
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-            if not out[m]:
-                del out[m]
-        return ChowElement(self.ring, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-            if not out[m]:
-                del out[m]
-        return ChowElement(self.ring, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ChowElement(self.ring,
-                               {m: c * other for m, c in self.terms.items()} if other else {})
-        return self.ring.multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, ChowElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=plain_key):
-            c = self.terms[m]
-            s = self.ring.mono_str(m)
-            if c == 1:
-                bits.append(s)
-            elif c == -1:
-                bits.append(f"-{s}")
-            else:
-                bits.append(f"{c}*{s}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-
 class LefschetzElement:
     """Degree-1 class from a strictly submodular coefficient rule."""
 
-    __slots__ = ("ring", "coeffs", "element")
+    __slots__ = ("ring", "coeffs", "terms")
 
-    def __init__(self, ring: ChowRing, coeffs: dict, element: ChowElement):
+    def __init__(self, ring: ChowRing, coeffs: dict, terms: dict):
         self.ring = ring
-        self.coeffs = coeffs
-        self.element = element
-
-    def __repr__(self):
-        return f"LefschetzElement({self.element!r})"
+        self.coeffs = coeffs  # flat mask -> coefficient
+        self.terms = terms  # its normal form, {fy_mono: coeff}
 
 
 def default_coefficient_rule(n: int):
@@ -707,8 +639,9 @@ def default_coefficient_rule(n: int):
 
 def submodularity_witness(vals) -> tuple[int, int] | None:
     """The first pair of subset masks (A, B) at which the values vals[mask]
-    of a coefficient rule break `check_submodular`: (0, E) when they do not
-    vanish at the empty set and the full set E, None when they pass."""
+    of a coefficient rule break strict submodularity over incomparable pairs
+    (nested pairs give equality identically): (0, E) when they do not vanish
+    at the empty set and the full set E, None when they pass."""
     full = len(vals) - 1
     if vals[0] != 0 or vals[full] != 0:
         return 0, full
@@ -732,14 +665,6 @@ def submodularity_witness(vals) -> tuple[int, int] | None:
     return None
 
 
-def check_submodular(coefficient_rule, n: int) -> bool:
-    """Strict submodularity over incomparable subset pairs, plus vanishing at
-    the empty set and the full ground set. (Nested pairs give equality
-    identically, so strictness is only meaningful off the chain relation.)"""
-    vals = [coefficient_rule(s) for s in range(1 << n)]
-    return submodularity_witness(vals) is None
-
-
 def lefschetz_omega(ring: ChowRing, coefficient_rule=None, group=None) -> LefschetzElement:
     n = ring.matroid.n
     rule = coefficient_rule or default_coefficient_rule(n)
@@ -754,6 +679,6 @@ def lefschetz_omega(ring: ChowRing, coefficient_rule=None, group=None) -> Lefsch
                 if vals[perm_mask(g, f)] != vals[f]:
                     raise NotGroupFixed(g, f)
     coeffs = {f: vals[f] for f in ring.vars}
-    element = ring.normal_form({((ring.var_index[f], 1),): c
-                                for f, c in coeffs.items() if c})
-    return LefschetzElement(ring, coeffs, element)
+    terms = ring.normal_form({((ring.var_index[f], 1),): c
+                              for f, c in coeffs.items() if c})
+    return LefschetzElement(ring, coeffs, terms)

@@ -134,8 +134,6 @@ def load_group(spec: str, m: Matroid):
     payload = _read_json(spec, "--group file")
     if not isinstance(payload, dict):
         raise UsageError("--group file must be a JSON object")
-    if payload.get("auto"):
-        return matroid_automorphisms(m)
     gens = payload.get("generators")
     if not (_is_int(payload.get("degree")) and isinstance(gens, list) and all(
             isinstance(g, list) and all(map(_is_int, g)) for g in gens)):

@@ -41,20 +41,3 @@ def corpus_matroid(name: str) -> Matroid:
         _CACHE[name] = got
     return got
 
-
-def corpus(max_n=None, max_rank=None, max_middle=None):
-    """(name, matroid) pairs filtered by ground size, rank, or the largest
-    graded dimension of the Chow ring."""
-    out = []
-    for name in corpus_names():
-        m = corpus_matroid(name)
-        if max_n is not None and m.n > max_n:
-            continue
-        if max_rank is not None and m.rank > max_rank:
-            continue
-        if max_middle is not None:
-            from .chow import chow_ring
-            if max(chow_ring(m).hilbert_function()) > max_middle:
-                continue
-        out.append((name, m))
-    return out

@@ -44,10 +44,6 @@ class DegreeMismatch(KoszulError):
     pass
 
 
-class UnmatchedCase(KoszulError):
-    pass
-
-
 # -- the 2x2 splitting --------------------------------------------------------
 
 def injection_2x2(ring: ChowRing, j: int, k: int, mono):
@@ -132,16 +128,6 @@ class CaseRule:
         self.target_kind = target_kind  # "triple" or "monomial"
         self.target = target            # letters
         self.line = line
-
-    def _key(self):
-        return (self.side, self.comp1, self.comp2, self.guards,
-                self.target_kind, self.target, self.line)
-
-    def __eq__(self, other):
-        return isinstance(other, CaseRule) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def shape(self):
@@ -285,16 +271,6 @@ class CaseMap:
         return [(rule, {sym: factors[pos] for sym, pos in places})
                 for rule, places in found]
 
-    def apply(self, side: str, comp1, comp2):
-        """Image of one domain element; raises UnmatchedCase on table gaps."""
-        found = self.matches(side, comp1, comp2)
-        if len(found) != 1:
-            kind = "ambiguous" if found else "unmatched"
-            raise UnmatchedCase(
-                f"{kind} source ({self.ring.mono_str(comp1)}, "
-                f"{self.ring.mono_str(comp2)}) on side {side}")
-        return self.image(*found[0])
-
     def image(self, rule: CaseRule, binding):
         """The rule's target under a binding: ("T", three degree-1
         monomials) or ("M", one degree-3 monomial); E is the top flat."""
@@ -307,11 +283,6 @@ class CaseMap:
             vi = binding.get(sym, top)
             exps[vi] = exps.get(vi, 0) + 1
         return ("M", tuple(sorted(exps.items())))
-
-
-def injection_3x3(ring: ChowRing, side: str, comp1, comp2):
-    """Map one element of FY1 x FY2 (side A) or FY2 x FY1 (side B)."""
-    return CaseMap(ring).apply(side, comp1, comp2)
 
 
 def minor_3x3(ctx: BurnsideContext):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the integers, with rational test oracles.
 
-The program's checks use the fraction-free routines: `int_kernel` (kernel
-and rank), `bareiss_det`, `int_positive_definite` and `sparse_int_rank`.
+The program's checks use the fraction-free routines: `int_kernel` (kernels
+only), `bareiss_det`, `int_positive_definite` and `sparse_int_rank` (every
+rank: hard Lefschetz and the dimension oracle).
 `int_kernel` and `bareiss_det` read their answers off one Bareiss
 elimination, `_bareiss`: Gauss-Jordan for the kernel, forward only for the
 determinant, which is also every exact dense determinant the characters

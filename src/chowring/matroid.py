@@ -140,9 +140,6 @@ class Matroid:
         bit = 1 << e
         return frozenset(f for f in self.flats if f & bit)
 
-    def __repr__(self):
-        return f"Matroid(n={self.n}, rank={self.rank}, flats={len(self.flats)})"
-
     def __eq__(self, other):
         return (isinstance(other, Matroid) and self.n == other.n
                 and self.flats == other.flats)

@@ -138,12 +138,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p):
-        return tuple(p) in self.element_set
-
-    def __repr__(self):
-        return f"PermGroup(n={self.n}, order={self.order})"
-
     def subgroup(self, elements) -> "PermGroup":
         els = frozenset(elements)
         gens = tuple(g for g in sorted(els) if g != identity(self.n))

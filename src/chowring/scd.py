@@ -15,7 +15,10 @@ close to an open; the duality map swaps the unpaired open/close counts.
 Both keep the pairs (hence bullets, hence the extended support) fixed.
 
 The core works on plain (ranks, exponents, r) data; monomial-level wrappers
-translate to and from a matroid's flats.
+translate to and from a matroid's flats. `encode` gives a monomial's cells
+and parenthesis word as plain tuples of one-character strings, over DASH,
+BULLET and BLANK and over "(" and ")", position p at index p - 1; `decode`
+takes a parenthesis word back to the monomial over a given extended support.
 """
 
 from __future__ import annotations
@@ -39,41 +42,6 @@ class DegreeTooHigh(SCDError):
     pass
 
 
-class DotDashDiagram:
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: tuple[str, ...]):
-        self.cells = cells  # over DASH, BULLET, BLANK; index p-1 = position p
-
-    def __eq__(self, other):
-        return isinstance(other, DotDashDiagram) and self.cells == other.cells
-
-    def __hash__(self):
-        return hash(self.cells)
-
-    def __str__(self):
-        return "".join(self.cells)
-
-
-class ParenSequence:
-    __slots__ = ("symbols",)
-
-    def __init__(self, symbols: tuple[str, ...]):
-        self.symbols = symbols  # "(" or ")"
-
-    def __eq__(self, other):
-        return isinstance(other, ParenSequence) and self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash(self.symbols)
-
-    def __str__(self):
-        return "".join(self.symbols)
-
-    def pairing(self):
-        return pair_parentheses(self.symbols)
-
-
 class SymmetricChain:
     __slots__ = ("support", "pairs", "monomials")
 
@@ -81,15 +49,6 @@ class SymmetricChain:
         self.support = support  # flats, E last
         self.pairs = pairs  # matched (open, close) positions
         self.monomials = monomials  # FY monomials, ascending degree
-
-    def _key(self):
-        return self.support, self.pairs, self.monomials
-
-    def __eq__(self, other):
-        return isinstance(other, SymmetricChain) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def rho(self) -> int:
@@ -267,18 +226,20 @@ def fiber(ring: ChowRing, support) -> tuple:
     return tuple(out)
 
 
-def encode(ring: ChowRing, mono) -> tuple[DotDashDiagram, ParenSequence]:
+def encode(ring: ChowRing, mono) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The monomial's dot-dash cells and its parenthesis word."""
     _, ranks, exps = _split_mono(ring, mono)
     cells = diagram_cells(ranks, exps, ring.r)
-    return DotDashDiagram(cells), ParenSequence(parens_from_cells(cells))
+    return cells, parens_from_cells(cells)
 
 
-def decode(ring: ChowRing, support, parens: ParenSequence):
+def decode(ring: ChowRing, support, symbols):
+    """The FY monomial with this extended support and parenthesis word."""
     if not support or support[-1] != ring.matroid.full:
         raise NotExtendedSupport("support must end with the full flat")
     vis = [ring.var_index[f] for f in support[:-1]]
     ranks = [ring.vrank[v] for v in vis]
-    exps = exponents_from_parens(ranks, parens.symbols, ring.r)
+    exps = exponents_from_parens(ranks, symbols, ring.r)
     if exps is None:
         raise SCDError("parenthesis word does not decode over this support")
     return _join_mono(ring, vis, exps)

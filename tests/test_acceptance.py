@@ -8,12 +8,10 @@ README): for rank-3 matroids the 3x3 Burnside minor is negative, and for
 rank >= 5 the 3x3 case table cannot be completed by rank/corank-local rules.
 Companion tests assert the implementation detects those failures precisely.
 
-Large exact-linear-algebra cases (graded pieces above 200 dimensions) are
-skipped by default to keep the battery inside its runtime target; set
-CHOWRING_DEEP=1 to include them.
+Criterion 5 runs on every member but uniform(6,7), whose Hodge-Riemann check
+does not finish in minutes (see its skip reason).
 """
 
-import os
 import time
 
 import pytest
@@ -24,13 +22,12 @@ from chowring.chow import chow_ring
 from chowring.corpus import corpus_matroid, corpus_names
 from chowring.perm import matroid_automorphisms
 from chowring.verify import (
-    KAHLER_MIDDLE_CAP, ORACLE_GROUND_CAP, check_boolean3_burnside_gamma,
+    ORACLE_GROUND_CAP, check_boolean3_burnside_gamma,
     check_boolean4_character, check_burnside_pf2, check_gamma, check_kahler,
     check_koszul, check_lambda_table, check_oracle, check_paren_example,
     check_pf_evidence, check_scd, check_young_audit,
 )
 
-DEEP = os.environ.get("CHOWRING_DEEP") == "1"
 NAMES = corpus_names()
 
 _STATE: dict = {}
@@ -104,14 +101,15 @@ def test_criterion_4_scd(name):
     assert passed, details
 
 
-# -- criterion 5: the Kahler package, exact rational arithmetic -----------------
+# -- criterion 5: the Kahler package, exact integer arithmetic ------------------
 
 @pytest.mark.parametrize("name", NAMES)
 def test_criterion_5_kahler(name):
+    if name == "uniform(6,7)":
+        pytest.skip("the Hodge-Riemann wall (ROADMAP item 2): at k = 2 the "
+                    "form restricted to the 700-dimensional primitive "
+                    "subspace of FY^2 gives no result in minutes")
     m, ring, group, _ = setup(name)
-    if not DEEP and max(ring.hilbert_function()) > KAHLER_MIDDLE_CAP:
-        pytest.skip("graded piece above the default exact-linear-algebra cap; "
-                    "set CHOWRING_DEEP=1 to include")
     passed, details, _ = run(5, name, lambda: check_kahler(ring, group))
     assert passed, details
 

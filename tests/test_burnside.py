@@ -26,7 +26,7 @@ def test_fy1_b3_decomposition():
     ctx = ctx_for(boolean(3))
     d = ctx.decompose_degrees((1,))
     # one fixed point (the top class) and one 3-element orbit
-    by_order = {ctx.registry.order_of(i): c for i, c in d.coeffs.items()}
+    by_order = {len(ctx.registry.classes[i]): c for i, c in d.coeffs.items()}
     assert by_order == {6: 1, 2: 1}
     assert d.cardinality() == 4
 

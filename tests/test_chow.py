@@ -5,12 +5,11 @@ import pytest
 
 from chowring.chow import (
     ChowError, ChowRing, DegreeOutOfRange, LefschetzElement, NotAnFYMonomial,
-    NotSubmodular, NotTopDegree, UnknownVariable, check_submodular, chow_ring,
-    default_coefficient_rule, lefschetz_omega, mono_degree, mono_mul,
-    submodularity_witness,
+    NotSubmodular, UnknownVariable, chow_ring, default_coefficient_rule,
+    lefschetz_omega, mono_degree, mono_mul, submodularity_witness,
 )
-from chowring.corpus import corpus, corpus_matroid, corpus_names
-from chowring.linalg import (bareiss_det, frac_kernel, frac_rank,
+from chowring.corpus import corpus_matroid, corpus_names
+from chowring.linalg import (bareiss_det, frac_kernel, frac_rank, int_kernel,
                              symmetric_positive_definite)
 from chowring.matroid import boolean, mask_of, matroid_from_bases, uniform
 from chowring.perm import from_cycles, matroid_automorphisms
@@ -50,29 +49,21 @@ def test_atom_normal_form():
     nf = ring.normal_form({atom: 1})
     expected = {ring.monomial([(f, 1)]): -1
                 for f in (mask_of([0, 1]), mask_of([0, 2]), ring.matroid.full)}
-    assert nf.terms == expected
+    assert nf == expected
 
 
 def test_non_nested_product_dies():
     ring = ring_b3()
     mono = ring.monomial([(mask_of([0, 1]), 1), (mask_of([0, 2]), 1)])
-    assert ring.normal_form({mono: 1}).terms == {}
+    assert ring.normal_form({mono: 1}) == {}
 
 
 def test_x12_squared_in_b3():
     ring = ring_b3()
     mono = ring.monomial([(mask_of([0, 1]), 2)])
-    nf = ring.normal_form({mono: 1})
-    assert nf.terms == {((ring.top_var, 2),): -1}
-    assert ring.degree_map(nf) == -1
-
-
-def test_degree_map_unit_and_errors():
-    ring = ring_b3()
-    top = ring.normal_form({((ring.top_var, 2),): 1})
-    assert ring.degree_map(top) == 1
-    with pytest.raises(NotTopDegree):
-        ring.degree_map(ring.one())
+    assert ring.normal_form({mono: 1}) == {((ring.top_var, 2),): -1}
+    assert ring.deg_top(mono) == -1
+    assert ring.deg_top(((ring.top_var, 2),)) == 1
     with pytest.raises(UnknownVariable):
         ring.monomial([(mask_of([0, 1, 2, 3]), 1)])
 
@@ -80,7 +71,7 @@ def test_degree_map_unit_and_errors():
 def test_multiply_unit_and_linearity():
     ring = ring_u45()
     a = ring.normal_form({ring.monomial([(mask_of([0, 1]), 1)]): 3})
-    assert ring.multiply(ring.one(), a) == a
+    assert ring.multiply({(): 1}, a) == a
     b = ring.normal_form({ring.monomial([(mask_of([0, 1, 2]), 1)]): 1})
     ab = ring.multiply(a, b)
     ba = ring.multiply(b, a)
@@ -118,8 +109,7 @@ def test_normal_form_is_projection_and_linear():
         a, b = rng.choice(pool), rng.choice(pool)
         prod = mono_mul(a, b)
         nf = ring.normal_form({prod: 1})
-        again = ring.normal_form(dict(nf.terms))
-        assert again.terms == nf.terms
+        assert ring.normal_form(nf) == nf
 
 
 def test_reduction_strategies_agree():
@@ -134,8 +124,9 @@ def test_reduction_strategies_agree():
 
 
 def test_check_submodular():
-    assert check_submodular(default_coefficient_rule(3), 3)
-    assert not check_submodular(lambda s: 0, 3)
+    rule = default_coefficient_rule(3)
+    assert submodularity_witness([rule(s) for s in range(8)]) is None
+    assert submodularity_witness([0] * 8) is not None
 
 
 def _first_failing_pair(vals):
@@ -196,7 +187,7 @@ def test_lefschetz_omega_group_fixed():
     ring = chow_ring(m)
     group = matroid_automorphisms(m)
     omega = lefschetz_omega(ring, group=group)
-    assert omega.element.degree() == 1
+    assert {mono_degree(mo) for mo in omega.terms} == {1}
     with pytest.raises(NotSubmodular):
         lefschetz_omega(ring, coefficient_rule=lambda s: 0)
 
@@ -206,7 +197,21 @@ def test_hard_lefschetz_k0_rank_one():
     omega = lefschetz_omega(ring)
     rep = ring.hard_lefschetz_check(omega, 0)
     assert rep["passed"] and rep["rank"] == 1
-    assert ring.degree_map(ring.omega_power(omega, ring.r)) != 0
+    assert ring.omega_power(omega, ring.r).get(ring.top_mono, 0) != 0
+
+
+@pytest.mark.parametrize("name", [name for name in corpus_names()
+                                  if name != "uniform(6,7)"])
+def test_hard_lefschetz_rank_is_the_dense_kernel_rank(name):
+    """The sparse rank of each omega^(r-2k) map is a_k less the nullity of
+    the dense fraction-free kernel. (On uniform(6,7) the dense kernel of the
+    813 x 813 map at k = 2 does not finish in minutes.)"""
+    ring = chow_ring(corpus_matroid(name))
+    omega = lefschetz_omega(ring)
+    for k in range(ring.r // 2 + 1):
+        a_k = len(ring.fy_basis(k))
+        nullity = len(int_kernel(ring.omega_map(omega, ring.r - 2 * k, k), a_k))
+        assert ring.hard_lefschetz_check(omega, k)["rank"] == a_k - nullity, k
 
 
 def test_hodge_riemann_b4_all_k():
@@ -223,7 +228,7 @@ def _direct_qform(ring, omega, k):
     sign = (-1 if k % 2 else 1) * ring.orientation(omega)
     basis = ring.fy_basis(k)
     return [[sign * sum(c * ring.deg_top(mono_mul(mono_mul(a, b), m))
-                        for m, c in power.terms.items())
+                        for m, c in power.items())
              for b in basis] for a in basis]
 
 
@@ -235,7 +240,8 @@ def test_qform_is_pairing_times_multiplication(name):
         assert ring._qform(omega, k) == _direct_qform(ring, omega, k)
 
 
-@pytest.mark.parametrize("name", [name for name, _ in corpus(max_n=6)])
+@pytest.mark.parametrize("name", [name for name in corpus_names()
+                                  if corpus_matroid(name).n <= 6])
 def test_pairing_matrix_against_plain_reduction(name):
     """Each pairing entry is the x_E^r coefficient of the product reduced by
     the plain strategy, which pivots in the other order; the pairing in
@@ -281,9 +287,9 @@ def test_non_lefschetz_omega_fails_like_fraction_path(name, flat, shift, minor):
     rule = default_coefficient_rule(m.n)
     target = mask_of(e - 1 for e in flat)
     coeffs = {f: rule(f) + (shift if f == target else 0) for f in ring.vars}
-    element = ring.normal_form({((ring.var_index[f], 1),): c
-                                for f, c in coeffs.items() if c})
-    omega = LefschetzElement(ring, coeffs, element)
+    terms = ring.normal_form({((ring.var_index[f], 1),): c
+                              for f, c in coeffs.items() if c})
+    omega = LefschetzElement(ring, coeffs, terms)
     reports = [ring.hodge_riemann_check(omega, k) for k in range(ring.r // 2 + 1)]
     assert [r["failing_minor"] for r in reports if not r["passed"]] == [minor]
     for rep in reports:
@@ -335,7 +341,7 @@ def test_act_and_verify_permutation_action():
         h = rng.choice(group.gens)
         lhs = ring.normal_form({mono_mul(ring.act(h, a), ring.act(h, b)): 1})
         rhs = ring.normal_form({mono_mul(a, b): 1})
-        assert lhs.terms == {ring.act(h, mo): c for mo, c in rhs.terms.items()}
+        assert lhs == {ring.act(h, mo): c for mo, c in rhs.items()}
     # orbit of x_ij x_E inside degree 2 has size 10
     from chowring.perm import orbit
     orb = orbit(group, mono, lambda p, mo: ring.act(p, mo))
@@ -427,5 +433,5 @@ def test_pairing_is_group_invariant():
 def test_inhomogeneous_degree_raises():
     ring = ring_b3()
     mixed = ring.normal_form({(): 1, ((ring.top_var, 1),): 1})
-    with pytest.raises(ChowError):
-        mixed.degree()
+    with pytest.raises(ChowError, match="inhomogeneous"):
+        ring.mult_matrix(mixed, 0)

@@ -130,24 +130,33 @@ def test_generated_documents_keep_the_exit_code_contract(capsys):
 
 
 @pytest.mark.parametrize("flag, content, commands", [
-    ("--group", {"degree": 3}, [("chow", "hilbert", "boolean(3)")]),
-    ("--group", [1, 2], [("chow", "hilbert", "boolean(3)")]),
-    ("--omega", [{"c": 1}], [("chow", "lefschetz", "boolean(3)")]),
-    ("--omega", [{"set": [1], "c": 1}], [("chow", "lefschetz", "boolean(3)")]),
+    ("--group", {"degree": 3},
+     [("chow", "hilbert", "boolean(3)", "needs an integer 'degree'")]),
+    ("--group", [1, 2],
+     [("chow", "hilbert", "boolean(3)", "must be a JSON object")]),
+    ("--omega", [{"c": 1}],
+     [("chow", "lefschetz", "boolean(3)", "must be a list of objects")]),
+    ("--omega", [{"set": [1], "c": 1}],
+     [("chow", "lefschetz", "boolean(3)", "submodularity fails")]),
     # (1 5) moves the flat {4, 5} of the wheel to {1, 4}, which is no flat
     ("--group", {"degree": 8, "generators": [[5, 2, 3, 4, 1, 6, 7, 8]]},
-     [("chow", "hilbert", "graphic(W4)"), ("verify", "all", "graphic(W4)"),
-      ("burnside", "decompose", "graphic(W4)")]),
+     [(*argv, "graphic(W4)", "does not preserve the flats")
+      for argv in (("chow", "hilbert"), ("verify", "all"),
+                   ("burnside", "decompose"))]),
+    # a group file names its generators; 'auto' is only a --group value
+    ("--group", {"auto": True},
+     [("chow", "hilbert", "boolean(3)", "needs an integer 'degree'")]),
 ])
 def test_bad_group_and_omega_files_exit_2(tmp_path, capsys, flag, content,
                                           commands):
+    """Each command, with the file, exits 2 and names the flaw."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
-    for argv in commands:
+    for *argv, message in commands:
         code = main([*argv, flag, str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and message in err, err
 
 
 GROUP_FILE_DOCS = ("boolean(4)", "uniform(4,6)", "graphic(K4)")

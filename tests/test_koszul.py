@@ -3,9 +3,8 @@ import pytest
 from chowring.chow import chow_ring, mono_mul
 from chowring.corpus import K5_EDGES, W4_EDGES
 from chowring.koszul import (
-    CaseMap, DegreeMismatch, KoszulError, UnmatchedCase, audit_rule_shapes,
-    injection_2x2, injection_3x3, parse_rules, rules_3x3,
-    verify_injection,
+    CaseMap, DegreeMismatch, KoszulError, audit_rule_shapes, injection_2x2,
+    parse_rules, rules_3x3, verify_injection,
 )
 from chowring.matroid import boolean, graphic, mask_of, uniform
 from chowring.perm import matroid_automorphisms
@@ -135,6 +134,13 @@ def test_2x2_verify_on_corpus_samples():
         assert rep["passed"]
 
 
+def _image(ring, side, c1, c2):
+    """The case map's image of one source, which must match one rule."""
+    cmap = CaseMap(ring)
+    (found,) = cmap.matches(side, c1, c2)
+    return cmap.image(*found)
+
+
 def test_3x3_examples_from_the_case_table():
     # proper flats with consecutive rank gaps of 2 need a rank-7 Boolean
     ring7 = chow_ring(boolean(7))
@@ -143,25 +149,25 @@ def test_3x3_examples_from_the_case_table():
     z = mask_of([0, 1, 2, 3, 4, 5])
     c1 = ring7.monomial([(x, 1)])
     c2 = ring7.monomial([(y, 1), (z, 1)])
-    kind, payload = injection_3x3(ring7, "A", c1, c2)
+    kind, payload = _image(ring7, "A", c1, c2)
     assert kind == "M"
     assert payload == ring7.monomial([(x, 1), (y, 1), (z, 1)])
     # with a gap of one in front, the image is the triple instead
     x1 = mask_of([0, 1, 2])
-    kind, payload = injection_3x3(ring7, "A", ring7.monomial([(x1, 1)]), c2)
+    kind, payload = _image(ring7, "A", ring7.monomial([(x1, 1)]), c2)
     assert kind == "T"
 
     ring = chow_ring(boolean(5))
     top = ring.matroid.full
     # (x_E, x_E^2) -> x_E^3
-    kind, payload = injection_3x3(ring, "A", ring.monomial([(top, 1)]),
-                                  ring.monomial([(top, 2)]))
+    kind, payload = _image(ring, "A", ring.monomial([(top, 1)]),
+                           ring.monomial([(top, 2)]))
     assert kind == "M" and payload == ring.monomial([(top, 3)])
     # (x_F x_E, x_F) with cork(F) = 2 -> the triple (F, E, F)
     w = mask_of([0, 1, 2])
     c1 = ring.monomial([(w, 1), (top, 1)])
     c2 = ring.monomial([(w, 1)])
-    kind, payload = injection_3x3(ring, "B", c1, c2)
+    kind, payload = _image(ring, "B", c1, c2)
     assert kind == "T"
     assert payload == (ring.monomial([(w, 1)]), ring.monomial([(top, 1)]),
                        ring.monomial([(w, 1)]))
@@ -240,13 +246,6 @@ def test_rule_audit_gap_shapes_at_rank_5():
     for n, side, c1, c2 in audit["gaps"]:
         assert n in (3, 5)
         assert "x_E" in c1 and "x_E" in c2
-
-
-def test_unmatched_raises():
-    ring = chow_ring(boolean(3))
-    top = ring.top_var
-    with pytest.raises(UnmatchedCase):
-        injection_3x3(ring, "A", ((top, 1),), ((top, 2),))
 
 
 def _sources(ring):

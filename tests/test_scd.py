@@ -52,8 +52,7 @@ def test_diagram_grammar():
     ring = chow_ring(uniform(4, 6))
     for basis in ring.fy_all():
         for mono in basis:
-            diagram, parens = scd.encode(ring, mono)
-            cells = diagram.cells
+            cells, parens = scd.encode(ring, mono)
             for a, b in zip(cells, cells[1:]):
                 assert not (a == scd.DASH and b == scd.BLANK)
                 assert not (a == scd.BULLET and b == scd.BULLET)
@@ -109,13 +108,13 @@ def test_fiber_poset_is_product_of_intervals():
 
 def test_unit_and_top_encodings():
     ring = chow_ring(uniform(4, 5))
-    diagram, parens = scd.encode(ring, ())
-    assert set(diagram.cells) == {scd.BLANK}
-    assert set(parens.symbols) == {")"}
+    cells, parens = scd.encode(ring, ())
+    assert set(cells) == {scd.BLANK}
+    assert set(parens) == {")"}
     top = ((ring.top_var, 3),)
-    diagram, parens = scd.encode(ring, top)
-    assert set(diagram.cells) == {scd.DASH}
-    assert set(parens.symbols) == {"("}
+    cells, parens = scd.encode(ring, top)
+    assert set(cells) == {scd.DASH}
+    assert set(parens) == {"("}
 
 
 def test_lambda_table_u45():
