@@ -12,7 +12,7 @@ from .perm import (
     are_conjugate_subgroups, is_young_subgroup,
 )
 from .chow import (
-    ChowRing, LefschetzElement, chow_ring, lefschetz_omega,
+    ChowRing, chow_ring, lefschetz_omega,
     default_coefficient_rule,
 )
 

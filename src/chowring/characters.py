@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import factorial, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .perm import PermGroup, compose, cycle_type, identity, inverse
 
@@ -501,13 +501,11 @@ def _find_element_of_order(e: int, p: int) -> int:
 # -- tables ---------------------------------------------------------------------
 
 class CharacterTable:
-    def __init__(self, group: PermGroup, data: ClassData, irreducibles, labels,
-                 backend: str):
+    def __init__(self, group: PermGroup, data: ClassData, irreducibles, labels):
         self.group = group
         self.data = data
         self.irreducibles = tuple(irreducibles)
         self.labels = tuple(labels)
-        self.backend = backend
         self._audit()
 
     def _audit(self):
@@ -541,14 +539,14 @@ def table_backend(group: PermGroup) -> str:
 
 
 def character_table(group: PermGroup) -> CharacterTable:
-    got = _TABLE_CACHE.get(group.element_set)
+    got = _TABLE_CACHE.get(group)
     if got is None:
         data = class_data(group)
-        backend = table_backend(group)
-        build = _symmetric_table if backend == "murnaghan-nakayama" else _dixon_table
+        build = (_symmetric_table if table_backend(group) == "murnaghan-nakayama"
+                 else _dixon_table)
         irr, labels = build(group, data)
-        got = CharacterTable(group, data, irr, labels, backend)
-        _TABLE_CACHE[group.element_set] = got
+        got = CharacterTable(group, data, irr, labels)
+        _TABLE_CACHE[group] = got
     return got
 
 
@@ -600,19 +598,13 @@ def koszul_minor(seq, alpha):
 
 # -- gamma expansion -----------------------------------------------------------
 
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
 def gamma_expansion(seq):
     """Coefficients gamma_0..gamma_(r//2) of the expansion of a symmetric
     sequence over the basis t^i (1+t)^(r-2i); works over any coefficient
     ring with subtraction and integer scalars."""
     r = len(seq) - 1
     for i in range(r + 1):
-        if not _ring_eq(seq[i], seq[r - i]):
+        if seq[i] - seq[r - i]:
             raise NotSymmetric(f"c_{i} != c_{r - i}")
     remainder = list(seq)
     gammas = []
@@ -620,14 +612,10 @@ def gamma_expansion(seq):
         g = remainder[i]
         gammas.append(g)
         for j in range(r - 2 * i + 1):
-            remainder[i + j] = remainder[i + j] - _binomial(r - 2 * i, j) * g
+            remainder[i + j] = remainder[i + j] - comb(r - 2 * i, j) * g
     if any(bool(x) for x in remainder):
         raise NotSymmetric("expansion left a nonzero remainder")
     return gammas
-
-
-def _ring_eq(a, b):
-    return not bool(a - b)
 
 
 def gamma_reexpand(gammas, r):
@@ -635,7 +623,7 @@ def gamma_reexpand(gammas, r):
     out = [0 * gammas[0] for _ in range(r + 1)]
     for i, g in enumerate(gammas):
         for j in range(r - 2 * i + 1):
-            out[i + j] = out[i + j] + _binomial(r - 2 * i, j) * g
+            out[i + j] = out[i + j] + comb(r - 2 * i, j) * g
     return out
 
 

@@ -29,7 +29,7 @@ import heapq
 from math import factorial
 from operator import mul
 
-from .matroid import Matroid, flat_str, members, popcount
+from .matroid import Matroid, flat_str, members
 
 UNIT = ()
 
@@ -417,16 +417,17 @@ class ChowRing:
             self._pairing[k] = got
         return got
 
-    def omega_power(self, omega: "LefschetzElement", p: int) -> dict:
-        """The normal form of omega^p. Memoised per ring; the dict is shared
-        and must not be modified."""
-        key = (tuple(sorted(omega.coeffs.items())), p)
+    def omega_power(self, omega: dict, p: int) -> dict:
+        """The normal form of omega^p, for omega given as its normal form
+        {fy_mono: coeff}. Memoised per ring, keyed by omega's terms and p;
+        the dict is shared and must not be modified."""
+        key = (tuple(sorted(omega.items())), p)
         got = self._omega_powers.get(key)
         if got is None:
             if p == 0:
                 got = {UNIT: 1}
             else:
-                got = self.multiply(self.omega_power(omega, p - 1), omega.terms)
+                got = self.multiply(self.omega_power(omega, p - 1), omega)
             self._omega_powers[key] = got
         return got
 
@@ -451,26 +452,26 @@ class ChowRing:
             cols.append(col)
         return [list(row) for row in zip(*cols)]
 
-    def omega_map(self, omega: "LefschetzElement", p: int, k: int):
+    def omega_map(self, omega: dict, p: int, k: int):
         """Matrix (rows = FY^(k+p), columns = FY^k) of a |-> a * omega^p: the
         product of the degree-one maps mult_matrix(omega, j), j = k..k+p-1.
-        Memoised per ring, keyed by omega's coefficients, p and k; the
-        matrix is shared and must not be modified."""
-        key = (tuple(sorted(omega.coeffs.items())), p, k)
+        Memoised per ring, keyed by omega's terms, p and k; the matrix is
+        shared and must not be modified."""
+        key = (tuple(sorted(omega.items())), p, k)
         got = self._omega_maps.get(key)
         if got is None:
             if p == 0:
                 n = len(self.fy_basis(k))
                 got = [[int(i == j) for j in range(n)] for i in range(n)]
             elif p == 1:
-                got = self.mult_matrix(omega.terms, k)
+                got = self.mult_matrix(omega, k)
             else:
                 got = _matmul(self.omega_map(omega, 1, k + p - 1),
                               self.omega_map(omega, p - 1, k))
             self._omega_maps[key] = got
         return got
 
-    def hard_lefschetz_check(self, omega: "LefschetzElement", k: int) -> dict:
+    def hard_lefschetz_check(self, omega: dict, k: int) -> dict:
         if k > self.r / 2:
             raise DegreeOutOfRange(f"k={k} exceeds r/2")
         mat = self.omega_map(omega, self.r - 2 * k, k)
@@ -483,7 +484,7 @@ class ChowRing:
             "rank": rank, "expected": a_k, "passed": rank == a_k,
         }
 
-    def orientation(self, omega: "LefschetzElement") -> int:
+    def orientation(self, omega: dict) -> int:
         """Sign of deg(omega^r). The degree map here is normalized by
         x_E^r -> 1, which is (-1)^r times the flag-count normalization; the
         quadratic forms below are oriented so that definiteness matches the
@@ -502,7 +503,7 @@ class ChowRing:
         return _matmul([[sign * p for p in row] for row in self.pairing_matrix(k)],
                        self.omega_map(omega, self.r - 2 * k, k))
 
-    def hodge_riemann_check(self, omega: "LefschetzElement", k: int) -> dict:
+    def hodge_riemann_check(self, omega: dict, k: int) -> dict:
         if k > self.r / 2:
             raise DegreeOutOfRange(f"k={k} exceeds r/2")
         from . import linalg
@@ -617,22 +618,11 @@ class ChowRing:
         return got
 
 
-class LefschetzElement:
-    """Degree-1 class from a strictly submodular coefficient rule."""
-
-    __slots__ = ("ring", "coeffs", "terms")
-
-    def __init__(self, ring: ChowRing, coeffs: dict, terms: dict):
-        self.ring = ring
-        self.coeffs = coeffs  # flat mask -> coefficient
-        self.terms = terms  # its normal form, {fy_mono: coeff}
-
-
 def default_coefficient_rule(n: int):
     full = (1 << n) - 1
 
     def rule(mask: int) -> int:
-        return popcount(mask) * popcount(full & ~mask)
+        return mask.bit_count() * (full & ~mask).bit_count()
 
     return rule
 
@@ -665,20 +655,21 @@ def submodularity_witness(vals) -> tuple[int, int] | None:
     return None
 
 
-def lefschetz_omega(ring: ChowRing, coefficient_rule=None, group=None) -> LefschetzElement:
+def lefschetz_omega(ring: ChowRing, group, coefficient_rule=None) -> dict:
+    """The degree-1 class sum_F rule(F) x_F of a strictly submodular,
+    group-fixed coefficient rule on subsets (the default rule when None), as
+    its normal form {fy_mono: coeff}. Raises NotSubmodular or NotGroupFixed
+    with a witness."""
+    from .perm import perm_mask
     n = ring.matroid.n
     rule = coefficient_rule or default_coefficient_rule(n)
     vals = [rule(s) for s in range(1 << n)]
     witness = submodularity_witness(vals)
     if witness is not None:
         raise NotSubmodular(*witness)
-    if group is not None:
-        from .perm import perm_mask
-        for g in group.gens:
-            for f in ring.vars:
-                if vals[perm_mask(g, f)] != vals[f]:
-                    raise NotGroupFixed(g, f)
-    coeffs = {f: vals[f] for f in ring.vars}
-    terms = ring.normal_form({((ring.var_index[f], 1),): c
-                              for f, c in coeffs.items() if c})
-    return LefschetzElement(ring, coeffs, terms)
+    for g in group.gens:
+        for f in ring.vars:
+            if vals[perm_mask(g, f)] != vals[f]:
+                raise NotGroupFixed(g, f)
+    return ring.normal_form({((ring.var_index[f], 1),): vals[f]
+                             for f in ring.vars if vals[f]})

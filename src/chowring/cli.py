@@ -151,13 +151,11 @@ def load_group(spec: str, m: Matroid):
     return group
 
 
-def matroid_summary(m: Matroid, group=None) -> dict:
-    out = {"n": m.n, "rank": m.rank, "flats": len(m.flats),
-           "hilbert": list(chow_ring(m).hilbert_function())}
-    if group is not None:
-        out["aut_order"] = group.order
-        out["aut_generators"] = [perm_str(g) for g in group.gens]
-    return out
+def matroid_summary(m: Matroid, group) -> dict:
+    return {"n": m.n, "rank": m.rank, "flats": len(m.flats),
+            "hilbert": list(chow_ring(m).hilbert_function()),
+            "aut_order": group.order,
+            "aut_generators": [perm_str(g) for g in group.gens]}
 
 
 @contextlib.contextmanager
@@ -268,7 +266,7 @@ def _quadruples(args, ring) -> list:
 
 def _load_omega(args, ring, group):
     if args.omega == "default":
-        return lefschetz_omega(ring, group=group)
+        return lefschetz_omega(ring, group)
     payload = _read_json(args.omega, "--omega file")
     n = ring.matroid.n
     if not (isinstance(payload, list) and all(
@@ -281,8 +279,7 @@ def _load_omega(args, ring, group):
     table = {mask_of(e - 1 for e in entry["set"]): entry["c"]
              for entry in payload}
     try:
-        return lefschetz_omega(ring, coefficient_rule=lambda s: table.get(s, 0),
-                               group=group)
+        return lefschetz_omega(ring, group, lambda s: table.get(s, 0))
     except NotSubmodular as exc:
         a, b = exc.witness
         raise UsageError(f"--omega rule: submodularity fails at "
@@ -425,30 +422,36 @@ def cmd_char(args, ring, group, report) -> bool:
 
 
 def cmd_koszul(args, ring, group, report) -> bool:
-    from .koszul import verify_injection
-    which = "2x2" if args.what == "check-2x2" else "3x3"
-    rep = verify_injection(ring, group, which=which)
-    report["passed"] = rep["passed"]
-    if which == "2x2":
+    from .burnside import BurnsideContext
+    from .koszul import minor_3x3, verify_injection, verify_splits
+    if args.what == "check-2x2":
+        rep = verify_splits(ring, group)
+        report["passed"] = rep["passed"]
         report["cases"] = len(rep["reports"])
-    else:
-        report["domain"] = rep["domain"]
-        report["unmatched"] = [
-            f"{side}: ({ring.mono_str(a)}, {ring.mono_str(b)})"
-            for side, a, b in rep["unmatched"][:20]]
-        report["collisions"] = len(rep["collisions"])
-        report["minor_nonnegative"] = rep.get("minor_nonnegative")
-    return not rep["passed"]
+        return not rep["passed"]
+    rep = verify_injection(ring, group)
+    ok, _ = minor_3x3(BurnsideContext(ring, group))
+    report["passed"] = rep["passed"] and ok
+    report["domain"] = rep["domain"]
+    report["unmatched"] = [
+        f"{side}: ({ring.mono_str(a)}, {ring.mono_str(b)})"
+        for side, a, b in rep["unmatched"][:20]]
+    report["collisions"] = len(rep["collisions"])
+    report["minor_nonnegative"] = ok
+    return not report["passed"]
 
 
 def cmd_verify(args, ring, group, report) -> bool:
     from .verify import run_battery
     t0 = time.perf_counter()
-    results = run_battery(ring.matroid, group, seed=args.seed)
-    report["checks"] = [r.to_dict(with_timing=args.timings) for r in results]
-    report["passed"] = all(r.passed for r in results)
+    checks = run_battery(ring, group, args.seed)
+    report["checks"] = checks
+    report["passed"] = all(check["passed"] for check in checks)
     if args.timings:
         report["elapsed"] = round(time.perf_counter() - t0, 3)
+    else:
+        for check in checks:
+            del check["elapsed"]
     return not report["passed"]
 
 

@@ -42,10 +42,6 @@ class NotAFlat(MatroidError):
     pass
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -59,7 +55,7 @@ def mask_of(elements) -> int:
 
 def flat_sort_key(mask: int):
     # cardinality, then lexicographic on the sorted member tuple
-    return (popcount(mask), members(mask))
+    return (mask.bit_count(), members(mask))
 
 
 class Matroid:
@@ -102,7 +98,7 @@ class Matroid:
         """Smallest flat containing the subset."""
         best = self.full
         for f in self.flats:
-            if subset & f == subset and popcount(f) < popcount(best):
+            if subset & f == subset and f.bit_count() < best.bit_count():
                 best = f
         # flats are intersection-closed, so the minimum is unique
         return best
@@ -134,7 +130,7 @@ class Matroid:
     def is_simple(self) -> bool:
         if self.flats[0] != 0:
             return False
-        return all(popcount(a) == 1 for a in self.atoms)
+        return all(a.bit_count() == 1 for a in self.atoms)
 
     def element_flat_profile(self, e: int) -> frozenset:
         bit = 1 << e
@@ -209,7 +205,7 @@ def _subset_rank_from_bases(n: int, bases: list[int]):
             return cache[s]
         best = 0
         for b in bases:
-            c = popcount(s & b)
+            c = (s & b).bit_count()
             if c > best:
                 best = c
         cache[s] = best
@@ -225,8 +221,8 @@ def matroid_from_bases(n: int, bases) -> Matroid:
     base_list = sorted({b if isinstance(b, int) else mask_of(b) for b in bases})
     if not base_list:
         raise NotAMatroid("no bases given")
-    size = popcount(base_list[0])
-    if any(popcount(b) != size for b in base_list):
+    size = base_list[0].bit_count()
+    if any(b.bit_count() != size for b in base_list):
         raise NotAMatroid("bases are not equicardinal")
     base_set = set(base_list)
     for b1 in base_list:

@@ -129,7 +129,6 @@ class PermGroup:
         self.n = n
         self.gens = tuple(gens)
         self.elements = tuple(sorted(elements))
-        self.element_set = frozenset(self.elements)
         self._classes = None
         self._conj_maps = None
         self._moves = None

@@ -119,13 +119,9 @@ def pair_parentheses(symbols):
     return tuple(pairs), tuple(unpaired_close + stack)
 
 
-def unpaired_closes(symbols):
-    pairs, unpaired = pair_parentheses(symbols)
-    return [p for p in unpaired if symbols[p - 1] == ")"]
-
-
 def flip_rightmost_close(symbols) -> tuple[str, ...]:
-    closes = unpaired_closes(symbols)
+    _, unpaired = pair_parentheses(symbols)
+    closes = [p for p in unpaired if symbols[p - 1] == ")"]
     if not closes:
         raise SCDError("no unpaired close parenthesis to flip")
     out = list(symbols)

@@ -14,7 +14,8 @@ Battery items (see README for the full descriptions):
       confluence under two strategies
   C7  Burnside log-concavity: all 2x2 Toeplitz quadruples in B(G)
   C8  the explicit Koszul injections (2x2 split and the 3x3 case table) and
-      the 3x3 Burnside minor by direct decomposition
+      the 3x3 Burnside minor by direct decomposition, in the Burnside
+      context that C7 filled
   C9  equivariant gamma-positivity of the graded character sequence
   C10 numeric PF evidence: real-rootedness (Sturm) plus window minors and
       equivariant Koszul minors up to size 4 (labeled evidence)
@@ -36,33 +37,12 @@ from .burnside import (BurnsideContext, pf2_minor_check, pf2_quadruples,
 from .characters import (character_sequence, gamma_expansion,
                          gamma_reexpand, is_genuine, koszul_minor,
                          numeric_pf_check, toeplitz_minor)
-from .chow import ChowRing, chow_ring, lefschetz_omega, mono_mul
-from .koszul import verify_injection
-from .matroid import Matroid
-from .perm import PermGroup, cycle_type, matroid_automorphisms
+from .chow import ChowRing, lefschetz_omega, mono_mul
+from .koszul import minor_3x3, verify_injection, verify_splits
+from .perm import PermGroup, cycle_type
 
 KAHLER_MIDDLE_CAP = 200
 ORACLE_GROUND_CAP = 6
-
-
-class CheckResult:
-    def __init__(self, battery: str, name: str, passed: bool, details: dict,
-                 known_gap: str | None, elapsed: float):
-        self.battery = battery
-        self.name = name
-        self.passed = passed
-        self.details = details
-        self.known_gap = known_gap
-        self.elapsed = elapsed
-
-    def to_dict(self, with_timing=False):
-        out = {"battery": self.battery, "name": self.name, "passed": self.passed,
-               "details": _plain(self.details)}
-        if self.known_gap:
-            out["known_gap"] = self.known_gap
-        if with_timing:
-            out["elapsed"] = round(self.elapsed, 3)
-        return out
 
 
 def _plain(obj):
@@ -75,12 +55,18 @@ def _plain(obj):
     return repr(obj)
 
 
-def _timed(results, battery, name, fn, known_gap=None):
+def _timed(results, battery, name, fn, known_gap):
+    """Run one check and append its report; `elapsed` times the check
+    alone."""
     t0 = time.perf_counter()
     passed, details = fn()
-    results.append(CheckResult(battery, name, passed, details,
-                               known_gap if not passed else None,
-                               time.perf_counter() - t0))
+    elapsed = time.perf_counter() - t0
+    out = {"battery": battery, "name": name, "passed": passed,
+           "details": _plain(details)}
+    if known_gap and not passed:
+        out["known_gap"] = known_gap
+    out["elapsed"] = round(elapsed, 3)
+    results.append(out)
 
 
 # -- individual batteries ------------------------------------------------------
@@ -185,7 +171,7 @@ def check_kahler(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:
     from .linalg import bareiss_det
     failures = []
     details = {}
-    omega = lefschetz_omega(ring, group=group)
+    omega = lefschetz_omega(ring, group)
     dets = []
     for k in range(ring.r // 2 + 1):
         det = bareiss_det(ring.pairing_matrix(k))
@@ -203,7 +189,7 @@ def check_kahler(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:
     return not failures, details
 
 
-def check_oracle(ring: ChowRing, seed=0) -> tuple[bool, dict]:
+def check_oracle(ring: ChowRing, seed: int) -> tuple[bool, dict]:
     """C6: FY count == oracle dimension at every degree; 200 random products
     reduce identically under both reduction strategies."""
     failures = []
@@ -224,9 +210,9 @@ def check_oracle(ring: ChowRing, seed=0) -> tuple[bool, dict]:
     return not failures, {"dimensions": dims, "failures": failures}
 
 
-def check_burnside_pf2(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool, dict]:
+def check_burnside_pf2(ring: ChowRing,
+                       ctx: BurnsideContext) -> tuple[bool, dict]:
     """C7: every valid quadruple passes the Burnside 2x2 inequality."""
-    ctx = ctx or BurnsideContext(ring, group)
     failures = []
     quads = pf2_quadruples(ring.r)
     for quad in quads:
@@ -236,10 +222,10 @@ def check_burnside_pf2(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool
     return not failures, {"quadruples": len(quads), "failures": failures}
 
 
-def check_young_audit(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool, dict]:
+def check_young_audit(ring: ChowRing,
+                      ctx: BurnsideContext) -> tuple[bool, dict]:
     """Orbit stabilizers of the PF2 differences are Young subgroups (full
     symmetric automorphism groups only)."""
-    ctx = ctx or BurnsideContext(ring, group)
     failures = []
     for quad in pf2_quadruples(ring.r):
         rep = young_stabilizer_audit(ctx, *quad)
@@ -262,10 +248,12 @@ def koszul_gap_note(rank: int) -> str | None:
     return None
 
 
-def check_koszul(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool, dict]:
+def check_koszul(ring: ChowRing, group: PermGroup,
+                 ctx: BurnsideContext) -> tuple[bool, dict]:
     """C8: 2x2 split and 3x3 case table, plus the direct Burnside minor."""
-    rep2 = verify_injection(ring, group, which="2x2")
-    rep3 = verify_injection(ring, group, which="3x3", ctx=ctx)
+    rep2 = verify_splits(ring, group)
+    rep3 = verify_injection(ring, group)
+    ok, witness = minor_3x3(ctx)
     details = {
         "injection_2x2": rep2["passed"],
         "domain_3x3": rep3["domain"],
@@ -273,10 +261,10 @@ def check_koszul(ring: ChowRing, group: PermGroup, ctx=None) -> tuple[bool, dict
         "ambiguous": len(rep3["ambiguous"]),
         "collisions": len(rep3["collisions"]),
         "equivariance_failures": len(rep3["equivariance_failures"]),
-        "minor_nonnegative": rep3.get("minor_nonnegative"),
-        "minor_witness": rep3.get("minor_witness"),
+        "minor_nonnegative": ok,
+        "minor_witness": None if ok else ctx.registry.describe(witness),
     }
-    return rep2["passed"] and rep3["passed"], details
+    return rep2["passed"] and rep3["passed"] and ok, details
 
 
 def check_gamma(ring: ChowRing, group: PermGroup) -> tuple[bool, dict]:
@@ -344,8 +332,9 @@ def _compositions_upto(total_cap: int, max_len: int):
 
 # -- the full battery ------------------------------------------------------------
 
-def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, seed=0):
+def battery_items(ring: ChowRing, group: PermGroup, seed: int):
     """(battery id, name, callable, known-gap note) for one matroid."""
+    m = ring.matroid
     hilbert = ring.hilbert_function()
     is_u45 = (m.n == 5 and m.rank == 4 and hilbert == (1, 21, 21, 1)
               and len(m.flats) == 27)
@@ -369,10 +358,10 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, seed=0):
                       lambda: check_oracle(ring, seed), None))
     if m.rank <= 6:
         items.append(("C7", "burnside-pf2",
-                      lambda: check_burnside_pf2(ring, group, ctx), None))
+                      lambda: check_burnside_pf2(ring, ctx), None))
         if group.is_full_symmetric():
             items.append(("C7", "young-stabilizer-audit",
-                          lambda: check_young_audit(ring, group, ctx), None))
+                          lambda: check_young_audit(ring, ctx), None))
     items.append(("C8", "koszul-injections",
                   lambda: check_koszul(ring, group, ctx),
                   koszul_gap_note(m.rank)))
@@ -380,29 +369,27 @@ def battery_items(m: Matroid, ring: ChowRing, group: PermGroup, seed=0):
                   lambda: check_gamma(ring, group), None))
     if is_b3 and group.is_full_symmetric():  # the claim is about S3
         items.append(("C9", "boolean3-burnside-gamma",
-                      lambda: check_boolean3_burnside_gamma(ring, group, ctx),
+                      lambda: check_boolean3_burnside_gamma(ring, ctx),
                       None))
     items.append(("C10", "pf-evidence",
                   lambda: check_pf_evidence(ring, group), None))
     return items
 
 
-def run_battery(m: Matroid, group: PermGroup | None = None,
-                seed=0) -> list[CheckResult]:
-    ring = chow_ring(m)
-    if group is None:
-        group = matroid_automorphisms(m)
-    results: list[CheckResult] = []
-    for battery, name, fn, gap in battery_items(m, ring, group, seed):
-        _timed(results, battery, name, fn, known_gap=gap)
+def run_battery(ring: ChowRing, group: PermGroup, seed: int) -> list[dict]:
+    """The report of each check of the battery, in order: battery, name,
+    passed, details, known_gap (on a failed check that has one) and
+    elapsed."""
+    results: list[dict] = []
+    for battery, name, fn, gap in battery_items(ring, group, seed):
+        _timed(results, battery, name, fn, gap)
     return results
 
 
-def check_boolean3_burnside_gamma(ring: ChowRing, group: PermGroup,
-                                  ctx=None) -> tuple[bool, dict]:
+def check_boolean3_burnside_gamma(ring: ChowRing,
+                                  ctx: BurnsideContext) -> tuple[bool, dict]:
     """The Burnside-level gamma fails on the rank-3 Boolean matroid: gamma_1
     is the defining 3-set minus a point, not a genuine difference."""
-    ctx = ctx or BurnsideContext(ring, group)
     seq = [ctx.decompose_degrees((k,)) for k in range(ring.r + 1)]
     gammas = gamma_expansion(seq)
     g1 = gammas[1]

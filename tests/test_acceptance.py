@@ -120,7 +120,7 @@ def test_criterion_5_kahler(name):
     "name", [n for n in NAMES if corpus_matroid(n).n <= ORACLE_GROUND_CAP])
 def test_criterion_6_oracle(name):
     m, ring, group, _ = setup(name)
-    passed, details, _ = run(6, name, lambda: check_oracle(ring))
+    passed, details, _ = run(6, name, lambda: check_oracle(ring, 0))
     assert passed, details
 
 
@@ -131,7 +131,7 @@ def test_criterion_6_oracle(name):
 def test_criterion_7_burnside_pf2(name):
     m, ring, group, ctx = setup(name)
     passed, details, _ = run(7, name,
-                             lambda: check_burnside_pf2(ring, group, ctx))
+                             lambda: check_burnside_pf2(ring, ctx))
     assert passed, details
 
 
@@ -144,7 +144,7 @@ def test_criterion_7_young_audit(name):
     if not group.is_full_symmetric():
         pytest.skip("automorphism group is not the full symmetric group")
     passed, details, _ = run(7, name + " young",
-                             lambda: check_young_audit(ring, group, ctx))
+                             lambda: check_young_audit(ring, ctx))
     assert passed, details
 
 
@@ -209,9 +209,9 @@ def test_criterion_8_rank3_counterexample_detected(name):
     """For rank-3 corpus matroids the verifier must report the negative
     minor and the single unmatched source."""
     m, ring, group, ctx = setup(name)
-    from chowring.koszul import verify_injection
-    rep = verify_injection(ring, group, ctx=ctx)
-    assert rep["minor_nonnegative"] is False
+    from chowring.koszul import minor_3x3, verify_injection
+    rep = verify_injection(ring, group)
+    assert minor_3x3(ctx)[0] is False
     assert len(rep["unmatched"]) == 1
     assert not rep["collisions"] and not rep["ambiguous"]
     report(8, name + " counterexample-detected", True, 0.0)
@@ -221,7 +221,7 @@ def test_criterion_8_rank5_gaps_detected():
     """For boolean(5) the gaps are exactly the documented source shapes."""
     m, ring, group, ctx = setup("boolean(5)")
     from chowring.koszul import verify_injection
-    rep = verify_injection(ring, group, check_minor=False, ctx=ctx)
+    rep = verify_injection(ring, group)
     top = ring.top_var
     expected = set()
     for vi in range(ring.nvars):
@@ -245,7 +245,7 @@ def test_criterion_9_gamma(name):
 
 
 def test_criterion_9_boolean3_gamma_details():
-    m, ring, group, _ = setup("boolean(3)")
+    m, ring, group, ctx = setup("boolean(3)")
     from chowring.characters import (character_table, gamma_expansion,
                                      is_genuine, perm_character)
     table = character_table(group)
@@ -256,7 +256,7 @@ def test_criterion_9_boolean3_gamma_details():
     assert genuine and mults == (0, 1, 0)  # the standard character
     passed, details, _ = run(
         9, "boolean(3) burnside-gamma",
-        lambda: check_boolean3_burnside_gamma(ring, group))
+        lambda: check_boolean3_burnside_gamma(ring, ctx))
     assert passed, details  # i.e. the Burnside-level failure is reproduced
     assert details["genuine"] is False
 

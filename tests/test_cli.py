@@ -434,6 +434,20 @@ def test_koszul_commands_and_exit_codes(capsys):
     assert payload["minor_nonnegative"] is False
 
 
+def test_negative_minor_alone_fails_koszul_check_3x3(capsys, monkeypatch):
+    """On uniform(4,5) the case table passes; a negative 3x3 Burnside minor
+    must still fail the command. (On the corpus a negative minor comes only
+    with a failing table, so the real inputs cannot show this.)"""
+    import chowring.koszul
+    monkeypatch.setattr(chowring.koszul, "minor_3x3", lambda ctx: (False, 0))
+    code, out = run(capsys, "--json", "koszul", "check-3x3", "uniform(4,5)")
+    assert code == 1
+    payload = json.loads(out)
+    assert not payload["unmatched"] and payload["collisions"] == 0
+    assert payload["passed"] is False
+    assert payload["minor_nonnegative"] is False
+
+
 def test_chow_pairing_and_lefschetz(capsys):
     code, out = run(capsys, "--json", "chow", "pairing", "boolean(4)")
     assert code == 0

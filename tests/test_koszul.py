@@ -1,10 +1,11 @@
 import pytest
 
+from chowring.burnside import BurnsideContext
 from chowring.chow import chow_ring, mono_mul
 from chowring.corpus import K5_EDGES, W4_EDGES
 from chowring.koszul import (
     CaseMap, DegreeMismatch, KoszulError, audit_rule_shapes, injection_2x2,
-    parse_rules, rules_3x3, verify_injection,
+    minor_3x3, parse_rules, rules_3x3, verify_injection, verify_splits,
 )
 from chowring.matroid import boolean, graphic, mask_of, uniform
 from chowring.perm import matroid_automorphisms
@@ -130,7 +131,7 @@ def test_2x2_verify_on_corpus_samples():
     for m in (boolean(4), uniform(4, 6), uniform(2, 5)):
         ring = chow_ring(m)
         group = matroid_automorphisms(m)
-        rep = verify_injection(ring, group, which="2x2")
+        rep = verify_splits(ring, group)
         assert rep["passed"]
 
 
@@ -179,18 +180,19 @@ def test_3x3_total_and_injective_rank_le_4():
         ring = chow_ring(m)
         group = matroid_automorphisms(m)
         rep = verify_injection(ring, group)
+        minor_nonnegative, _ = minor_3x3(BurnsideContext(ring, group))
         if m.rank >= 4 or m.rank <= 2:
-            assert rep["passed"], (m, rep)
+            assert rep["passed"] and minor_nonnegative, (m, rep)
         else:
             # rank 3: the one unmatched source and the negative minor
             assert len(rep["unmatched"]) == 1
-            assert not rep["minor_nonnegative"]
+            assert not minor_nonnegative
 
 
 def test_3x3_domain_size_u45():
     m = uniform(4, 5)
     ring = chow_ring(m)
-    rep = verify_injection(ring, matroid_automorphisms(m), check_minor=False)
+    rep = verify_injection(ring, matroid_automorphisms(m))
     assert rep["domain"] == 2 * 21 * 21
     assert rep["passed"]
 
@@ -198,7 +200,7 @@ def test_3x3_domain_size_u45():
 def test_3x3_rank_one_vacuous():
     m = boolean(1)
     ring = chow_ring(m)
-    rep = verify_injection(ring, matroid_automorphisms(m), check_minor=False)
+    rep = verify_injection(ring, matroid_automorphisms(m))
     assert rep["domain"] == 0 and rep["passed"]
 
 
@@ -220,17 +222,18 @@ def test_3x3_rank5_documented_gaps_only():
             expected.add(("B", pe, e1))
     assert set(rep["unmatched"]) == expected
     # the Burnside minor itself still holds by direct decomposition
-    assert rep["minor_nonnegative"]
+    assert minor_3x3(BurnsideContext(ring, group))[0]
 
 
 def test_3x3_minor_negative_on_rank3():
     m = boolean(3)
     ring = chow_ring(m)
-    rep = verify_injection(ring, matroid_automorphisms(m))
-    assert not rep["minor_nonnegative"]
+    ctx = BurnsideContext(ring, matroid_automorphisms(m))
+    minor_nonnegative, witness = minor_3x3(ctx)
+    assert not minor_nonnegative
     # the failing coefficient sits at the full-group class: the target has
     # one G-fixed point, the sources have two
-    assert rep["minor_witness"] == "S(3)"
+    assert ctx.registry.describe(witness) == "S(3)"
 
 
 def test_rule_audit_exhaustive_up_to_rank_4():
@@ -286,7 +289,7 @@ def test_equivariance_sweep_catches_an_identity_dependent_image(
         m, monkeypatch):
     ring = chow_ring(m)
     group = matroid_automorphisms(m)
-    assert verify_injection(ring, group, check_minor=False)["passed"]
+    assert verify_injection(ring, group)["passed"]
     image = CaseMap.image
 
     def skewed(self, rule, binding):
@@ -300,7 +303,7 @@ def test_equivariance_sweep_catches_an_identity_dependent_image(
         return image(self, rule, binding)
 
     monkeypatch.setattr(CaseMap, "image", skewed)
-    rep = verify_injection(ring, group, check_minor=False)
+    rep = verify_injection(ring, group)
     assert rep["equivariance_failures"]
     assert not rep["passed"]
 
@@ -317,6 +320,6 @@ def test_an_image_outside_fy_is_reported_invalid(monkeypatch):
         return ("T", (atom,) + payload[1:]) if kind == "T" else (kind, payload)
 
     monkeypatch.setattr(CaseMap, "image", onto_an_atom)
-    rep = verify_injection(ring, group, check_minor=False)
+    rep = verify_injection(ring, group)
     assert rep["invalid"] and not rep["passed"]
     assert all(img[0] == "T" and img[1][0] == atom for _, img in rep["invalid"])

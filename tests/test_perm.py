@@ -42,7 +42,7 @@ def test_group_cap():
 
 def test_closure_property():
     g = symmetric_group(4)
-    els = g.element_set
+    els = frozenset(g.elements)
     for a in list(els)[:8]:
         for b in list(els)[:8]:
             assert compose(a, b) in els
